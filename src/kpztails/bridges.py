@@ -330,13 +330,10 @@ class GibbsSpec:
     bridge: BridgeSpec
     T: float
     lower_curve: Union[None, float, np.ndarray] = None
-    upper_curve: float = math.inf
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
             raise ValueError("T must be positive")
-        if not (math.isinf(self.upper_curve) and self.upper_curve > 0):
-            raise ValueError("only an absent (+inf) upper curve is supported")
         g = self.lower_curve
         if g is None:
             return

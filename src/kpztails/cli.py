@@ -1,10 +1,11 @@
 """Command line front end: kpz-tails <command> [options].
 
-Commands map one-to-one onto the experiment runners.  Every command
-accepts --preset, --config (a JSON file overriding preset fields),
---seed, and --out-dir, writes its artifacts under the output directory,
-prints one line per check, and exits 0 iff all executed checks pass
-(UNTESTABLE-AT-SCALE verdicts never fail a run).
+Commands map one-to-one onto the experiment runners; `all` runs every
+section.  Every command accepts --preset, --config (a JSON file
+overriding preset fields), --seed, and --out-dir, writes its artifacts
+under the output directory, prints one line per check (per section for
+`all`), and exits 0 iff all executed checks pass (UNTESTABLE-AT-SCALE
+verdicts never fail a run).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .experiment import (PRESETS, preset_config, run_airy, run_bounds,
-                         run_gibbs, run_moments, run_report, run_simulate)
+from .experiment import (PRESETS, preset_config, run_airy, run_all,
+                         run_bounds, run_gibbs, run_moments, run_report,
+                         run_simulate)
 
 _RUNNERS = {
     "simulate": run_simulate,
@@ -24,6 +26,7 @@ _RUNNERS = {
     "gibbs": run_gibbs,
     "airy": run_airy,
     "report": run_report,
+    "all": run_all,
 }
 
 
@@ -56,6 +59,8 @@ def main(argv=None) -> int:
     summary = _RUNNERS[args.command](config, args.seed, args.out_dir)
     for name, ok in summary.get("checks", {}).items():
         print(f"{args.command}/{name}: {'pass' if ok else 'FAIL'}")
+    for name, status in summary.get("sections", {}).items():
+        print(f"{args.command}/{name}: {'pass' if status == 'pass' else 'FAIL'}")
     if "verdicts" in summary:
         for verdict, count in sorted(summary["verdicts"].items()):
             print(f"{args.command}/verdict {verdict}: {count}")

@@ -30,7 +30,8 @@ from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import BrownianTwoSided, Flat, NarrowWedge, scale_center_height
 from .moments import SANDWICH_FACTOR, moment_exact, psi
 from .she import SolverConfig, solve_she_ensemble
-from .tails import VIOLATION, bound_violation_report, mc_tail
+from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
+                    mc_tail)
 
 __all__ = [
     "ExperimentConfig",
@@ -56,9 +57,6 @@ _REPORT_THEOREMS = {
     "flat": ("general_lower", "general_upper"),
     "brownian": ("brownian_lower", "brownian_upper"),
 }
-
-_ALL_THEOREMS = ("general_lower", "nw_lower", "nw_upper", "general_upper",
-                 "brownian_lower", "brownian_upper", "nw_upper_laplace")
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     s_values = config.s_grid or (0.5, 1.0, 2.0, 4.0, 8.0)
     rows = []
-    for theorem in _ALL_THEOREMS:
+    for theorem in BoundQuery.THEOREMS:
         for s in s_values:
             q = BoundQuery(theorem=theorem, s=s, T=config.T, eps=config.eps,
                            delta=config.delta, mu=config.mu, zeta=config.zeta,
@@ -388,7 +386,7 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     for name in config.initials:
         vals = samples[name]
         for theorem in _REPORT_THEOREMS[name]:
-            side = "lower" if theorem.endswith("lower") else "upper"
+            side = THEOREM_TAIL_SIDE[theorem]
             ests = [mc_tail(vals, s, side, config.alpha)
                     for s in config.s_grid]
             queries = [BoundQuery(theorem=theorem, s=s, T=config.T,

@@ -77,8 +77,6 @@ class SolverConfig:
     dt: Optional[float] = None
     extent: float = 8.0
     dtype: str = "float32"
-    boundary: str = "dirichlet"
-    scheme: str = "heat-exponential"
 
     def __post_init__(self) -> None:
         if not self.dx > 0.0:
@@ -91,10 +89,6 @@ class SolverConfig:
                 f"got dt = {self.dt:g}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        if self.boundary != "dirichlet":
-            raise ValueError("only the dirichlet boundary rule is implemented")
-        if self.scheme != "heat-exponential":
-            raise ValueError("only the heat-exponential scheme is implemented")
 
     @property
     def dt_value(self) -> float:

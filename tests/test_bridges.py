@@ -294,8 +294,6 @@ class TestGibbsSpec:
         with pytest.raises(ValueError):
             GibbsSpec(bridge=self._bridge(), T=0.0)
         with pytest.raises(ValueError):
-            GibbsSpec(bridge=self._bridge(), T=1.0, upper_curve=3.0)
-        with pytest.raises(ValueError):
             GibbsSpec(bridge=self._bridge(), T=1.0, lower_curve=np.zeros(7))
         with pytest.raises(ValueError):
             GibbsSpec(bridge=self._bridge(), T=1.0, lower_curve=math.inf)

@@ -54,6 +54,18 @@ class TestMain:
         assert rc == 1
         assert "moments/synthetic: FAIL" in capsys.readouterr().out
 
+    def test_all_prints_one_line_per_section(self, tmp_path, tiny_json,
+                                             capsys):
+        rc = cli.main(["all", "--config", str(tiny_json),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        for section in ("simulate", "report", "bounds", "moments", "gibbs",
+                        "airy"):
+            assert f"all/{section}: pass" in out
+        assert "all: pass" in out
+        assert (tmp_path / "summary.json").exists()
+
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["moments", "--preset", "gigantic",

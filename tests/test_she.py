@@ -76,10 +76,6 @@ class TestSolverConfig:
             SolverConfig(dx=0.1, extent=0.05)
         with pytest.raises(ValueError):
             SolverConfig(dtype="float16")
-        with pytest.raises(ValueError):
-            SolverConfig(boundary="periodic")
-        with pytest.raises(ValueError):
-            SolverConfig(scheme="implicit")
 
 
 class TestLatticeField:

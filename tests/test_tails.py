@@ -16,17 +16,22 @@ from kpztails.tails import (CONSISTENT, MIN_EXPECTED_HITS, THEOREM_TAIL_SIDE,
 
 class TestClopperPearson:
     def test_zero_hits_closed_form(self):
-        # upper endpoint solves (1 - p)^n = alpha/2
+        # upper endpoint solves (1 - p)^n = alpha/2; beta.ppf is accurate to
+        # a few ULP, so compare within 4 ULP of the closed form, which
+        # expm1 evaluates to within half an ULP here
         lo, hi = clopper_pearson(0, 100, alpha=0.01)
         assert lo == 0.0
         assert hi == pytest.approx(1.0 - 0.005 ** 0.01, abs=1e-15)
-        assert hi == 0.05160402962410399
+        ref = -math.expm1(math.log(0.005) / 100)
+        assert abs(Fraction(hi) - Fraction(ref)) <= 4 * math.ulp(ref), hi
 
     def test_all_hits_closed_form(self):
+        # lower endpoint solves p^n = alpha/2
         lo, hi = clopper_pearson(100, 100, alpha=0.01)
         assert hi == 1.0
         assert lo == pytest.approx(0.005 ** 0.01, abs=1e-15)
-        assert lo == 0.948395970375896
+        ref = math.exp(math.log(0.005) / 100)
+        assert abs(Fraction(lo) - Fraction(ref)) <= 4 * math.ulp(ref), lo
 
     # Endpoints of the 99% interval at hits=50, n=100: the roots of
     # I_x(50, 51) = 0.005 and I_x(51, 50) = 0.995, found by bisecting the
