@@ -22,6 +22,7 @@ from kpztails.initial_data import (
     Profile,
     ScaledHeightSample,
 )
+from kpztails import she
 from kpztails.she import (
     EnsembleResult,
     LatticeField,
@@ -209,6 +210,25 @@ class TestEnsemble:
         b = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
                                n_replicas=10, chunk=512)
         assert np.array_equal(a.Z, b.Z)
+
+    def test_noise_blocking_does_not_change_results(self, monkeypatch):
+        # 255 steps make the window's uniform count odd
+        cfg = SolverConfig(dx=0.1, dt=2e-3, extent=1.0)
+        a = solve_she_ensemble(Flat(), T=0.255, cfg=cfg, seed=3, n_replicas=10)
+        monkeypatch.setattr(she, "_NOISE_ROWS", 3)
+        b = solve_she_ensemble(Flat(), T=0.255, cfg=cfg, seed=3, n_replicas=10)
+        assert np.array_equal(a.Z, b.Z)
+
+    def test_heat_step_matches_per_row_stencil(self):
+        rng = np.random.default_rng(0)
+        Z = rng.random((3, 7), dtype=np.float32) + np.float32(0.5)
+        lam = np.float32(0.25)
+        out = np.empty_like(Z)
+        she._heat_step(Z, out, lam)
+        for row, got in zip(Z, out):
+            padded = np.concatenate(([0.0], row, [0.0])).astype(np.float32)
+            lap = padded[2:] + padded[:-2] - np.float32(2.0) * row
+            assert np.array_equal(got, lam * lap + row)
 
     def test_replica_prefix_property(self):
         a = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
