@@ -3,9 +3,9 @@
 Every function here evaluates a printed envelope formula, never an equality:
 the underlying statements are asymptotic with absolute constants that are not
 pinned down, so the constants (K, K1, K2, s0) are explicit user parameters
-defaulting to 1 and all comparisons against simulation are one-sided
-non-violation checks.  Raw envelope values may exceed 1; clamping is the
-caller's job.
+with defaults in DEFAULT_CONSTANTS (K = K1 = K2 = 1, s0 = 0), and all
+comparisons against simulation are one-sided non-violation checks.  Raw
+envelope values may exceed 1; clamping is the caller's job.
 
 Conventions
 -----------
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 NOTE_CONSTANTS = "asymptotic statement; absolute constants not specified"
@@ -31,6 +32,11 @@ NOTE_SMALL_T = ("coefficient regimes require T > pi; only qualitative "
 NOTE_BELOW_S0 = "s below the validity threshold s0; envelope vacuous"
 
 LOWER_TAIL_REGIMES = ("I_low", "II_low", "III_low")
+
+# the envelopes' unspecified absolute constants; s0 is the validity threshold
+# of the upper-tail coefficient statements
+DEFAULT_CONSTANTS = MappingProxyType({"K": 1.0, "K1": 1.0, "K2": 1.0,
+                                      "s0": 0.0})
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,7 @@ class BoundQuery:
     delta: float = 0.1
     mu: float = 0.1
     zeta: float = 0.1
-    constants: dict = field(default_factory=lambda: {"K": 1.0, "K1": 1.0,
-                                                     "K2": 1.0, "s0": 1.0})
+    constants: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
 
     THEOREMS = ("general_lower", "nw_lower", "nw_upper", "general_upper",
                 "brownian_lower", "brownian_upper", "nw_upper_laplace")
@@ -100,7 +105,7 @@ def _lower_tail_terms(s: float, T: float, eps: float, delta: float, K: float):
 
 
 def lower_tail_upper_general(s: float, T: float, eps: float, delta: float,
-                             K: float = 1.0) -> BoundResult:
+                             K: float = DEFAULT_CONSTANTS["K"]) -> BoundResult:
     """Upper envelope for the lower tail P(h(0) <= -s), general initial data.
 
     Three-term sum exp(-T^(1/3) 4(1-eps) s^(5/2) / (15 pi))
@@ -119,14 +124,15 @@ def lower_tail_upper_general(s: float, T: float, eps: float, delta: float,
 
 
 def brownian_lower_tail(s: float, T: float, eps: float, delta: float,
-                        K: float = 1.0) -> BoundResult:
+                        K: float = DEFAULT_CONSTANTS["K"]) -> BoundResult:
     """Lower-tail envelope for Brownian initial data; identical term-for-term
     to the general-initial-data envelope."""
     return lower_tail_upper_general(s, T, eps, delta, K)
 
 
 def nw_lower_tail(s: float, T: float, eps: float, delta: float,
-                  K1: float = 1.0, K2: float = 1.0):
+                  K1: float = DEFAULT_CONSTANTS["K1"],
+                  K2: float = DEFAULT_CONSTANTS["K2"]):
     """Narrow-wedge lower tail: (upper envelope, lower envelope) pair.
 
     The upper envelope is the same three-term sum with constant K1; the lower
@@ -143,7 +149,8 @@ def nw_lower_tail(s: float, T: float, eps: float, delta: float,
 
 
 def classify_regime(s: float, T: float, eps: float, theorem: str,
-                    mu: Optional[float] = None, s0: float = 0.0) -> str:
+                    mu: Optional[float] = None,
+                    s0: float = DEFAULT_CONSTANTS["s0"]) -> str:
     """Regime label i/ii/iii for the upper-tail coefficient statements.
 
     Thresholds: regime i for s < lo, regime ii for s >= hi (ties at hi belong
@@ -173,7 +180,8 @@ def classify_regime(s: float, T: float, eps: float, theorem: str,
     return "iii"
 
 
-def nw_upper_tail(s: float, T: float, eps: float, s0: float = 1.0) -> BoundResult:
+def nw_upper_tail(s: float, T: float, eps: float,
+                  s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Narrow-wedge upper tail: e^(-c1 s^(3/2)) <= P(upsilon(0) >= s)
     <= e^(-c2 s^(3/2)) with regime-dependent coefficients.
 
@@ -199,7 +207,7 @@ def nw_upper_tail(s: float, T: float, eps: float, s0: float = 1.0) -> BoundResul
 
 
 def general_upper_tail(s: float, T: float, eps: float, mu: float,
-                       s0: float = 1.0) -> BoundResult:
+                       s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Upper tail for general initial data, two-sided coefficient pair.
 
     i:   c1 = (8/3)(1+mu)(1+eps),   c2 = (sqrt(2)/3)(1-mu)(1-eps)
@@ -229,7 +237,7 @@ def general_upper_tail(s: float, T: float, eps: float, mu: float,
 
 
 def brownian_upper_tail(s: float, T: float, eps: float, mu: float,
-                        s0: float = 1.0) -> BoundResult:
+                        s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Upper tail for Brownian initial data.
 
     Lower envelope e^(-c1 s^(3/2)); upper envelope e^(-c2 s^(3/2))
@@ -272,11 +280,8 @@ def evaluate_query(q: BoundQuery):
     "lower" (lower bound on the same probability, or the lower-side quantity
     for the Laplace route).
     """
-    c = q.constants
-    K = c.get("K", 1.0)
-    K1 = c.get("K1", 1.0)
-    K2 = c.get("K2", 1.0)
-    s0 = c.get("s0", 1.0)
+    c = {**DEFAULT_CONSTANTS, **q.constants}
+    K, K1, K2, s0 = c["K"], c["K1"], c["K2"], c["s0"]
     if q.theorem == "general_lower":
         return [("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, K))]
     if q.theorem == "brownian_lower":

@@ -51,11 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = None
-    if args.config is not None:
-        overrides = json.loads(args.config.read_text())
-    config = preset_config(args.preset, overrides)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        overrides = (None if args.config is None
+                     else json.loads(args.config.read_text()))
+        config = preset_config(args.preset, overrides)
+    except ValueError as exc:  # malformed JSON or a bad config field
+        parser.error(f"--config {args.config}: {exc}")
     summary = _RUNNERS[args.command](config, args.seed, args.out_dir)
     for name, ok in summary.get("checks", {}).items():
         print(f"{args.command}/{name}: {'pass' if ok else 'FAIL'}")

@@ -18,16 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .airy import laplace_lhs, laplace_rhs, sample_gue_edge_many
-from .bounds import BoundQuery, evaluate_query
+from .bounds import DEFAULT_CONSTANTS, BoundQuery, evaluate_query
 from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
-from .initial_data import BrownianTwoSided, Flat, NarrowWedge, scale_center_height
+from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
+                           scale_center_height)
 from .moments import SANDWICH_FACTOR, moment_exact, psi
 from .she import SolverConfig, solve_she_ensemble
 from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
@@ -47,15 +48,32 @@ __all__ = [
     "PRESETS",
 ]
 
-_INITIALS = ("narrow_wedge", "flat", "brownian")
-_SEED_OFFSET = {"narrow_wedge": 0, "flat": 1, "brownian": 2, "airy_sim": 3,
-                "airy_edge": 4, "gibbs": 5, "brownian_path": 7}
+# every RNG stream of a run: stream `name` of seed s is seeded s*10 + number
+_STREAM = {"narrow_wedge": 0, "flat": 1, "brownian": 2, "airy_sim": 3,
+           "airy_edge": 4, "gibbs": 5, "brownian_path": 7}
 
-# theorem families judged against each initial condition's tails
-_REPORT_THEOREMS = {
-    "narrow_wedge": ("nw_lower", "nw_upper"),
-    "flat": ("general_lower", "general_upper"),
-    "brownian": ("brownian_lower", "brownian_upper"),
+
+def _stream_seed(seed: int, name: str) -> int:
+    return seed * 10 + _STREAM[name]
+
+
+@dataclass(frozen=True)
+class _Initial:
+    """One initial condition: its data, height scaling and judging theorems."""
+
+    data: Callable[[int], InitialData]  # built from the run seed
+    kind: str  # scale_center_height kind
+    theorems: tuple  # (lower-tail, upper-tail) theorem families
+
+
+_INITIAL = {
+    "narrow_wedge": _Initial(lambda seed: NarrowWedge(), "upsilon",
+                             ("nw_lower", "nw_upper")),
+    "flat": _Initial(lambda seed: Flat(), "general",
+                     ("general_lower", "general_upper")),
+    "brownian": _Initial(
+        lambda seed: BrownianTwoSided(seed=_stream_seed(seed, "brownian_path")),
+        "brownian", ("brownian_lower", "brownian_upper")),
 }
 
 
@@ -64,7 +82,7 @@ class ExperimentConfig:
     """Knobs for one experiment bundle; JSON-round-trippable."""
 
     preset: str = "smoke"
-    initials: tuple = _INITIALS
+    initials: tuple = tuple(_INITIAL)
     T: float = 1.0
     n_samples: int = 1000
     s_grid: tuple = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -73,8 +91,7 @@ class ExperimentConfig:
     delta: float = 0.1
     mu: float = 0.1
     zeta: float = 0.1
-    constants: dict = field(default_factory=lambda: {
-        "K": 1.0, "K1": 1.0, "K2": 1.0, "s0": 0.0})
+    constants: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
     dx: float = 0.05
     dt: Optional[float] = 1.25e-3
     extent: float = 4.0
@@ -92,7 +109,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 2 or self.gibbs_n < 2 or self.airy_n < 2:
             raise ValueError("sample counts must be at least 2")
-        bad = [i for i in self.initials if i not in _INITIALS]
+        bad = [i for i in self.initials if i not in _INITIAL]
         if bad:
             raise ValueError(f"unknown initial data names: {bad}")
         if not self.T > 0.0 or not self.airy_T > 0.0:
@@ -105,19 +122,22 @@ class ExperimentConfig:
                             extent=self.extent if extent is None else extent)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        for k in ("initials", "s_grid", "airy_s", "moments_k", "moments_T"):
-            if k in d:
-                d[k] = tuple(d[k])
-        return cls(**d)
+        return cls(**_config_fields(json.loads(text)))
+
+
+_TUPLE_FIELDS = ("initials", "s_grid", "airy_s", "moments_k", "moments_T")
+
+
+def _config_fields(d: dict) -> dict:
+    """A copy of d with sequences made tuples; unknown fields raise."""
+    unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config fields: {unknown}")
+    return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in d.items()}
 
 
 PRESETS = {
@@ -138,13 +158,7 @@ PRESETS = {
 def preset_config(name: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    cfg = PRESETS[name]
-    if overrides:
-        for k in ("initials", "s_grid", "airy_s", "moments_k", "moments_T"):
-            if k in overrides:
-                overrides[k] = tuple(overrides[k])
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(PRESETS[name], **_config_fields(overrides or {}))
 
 
 def _fmt(v) -> str:
@@ -167,13 +181,20 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _initial_object(name: str, seed: int):
-    if name == "narrow_wedge":
-        return NarrowWedge(), "upsilon"
-    if name == "flat":
-        return Flat(), "general"
-    return (BrownianTwoSided(seed=seed * 10 + _SEED_OFFSET["brownian_path"]),
-            "brownian")
+def _out_dir(out_dir) -> Path:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _summarize(out: Path, command: str, config: ExperimentConfig, seed: int,
+               checks: dict, artifacts: list, **extra) -> dict:
+    """Write <command>_summary.json; status is pass iff every check passes."""
+    summary = {"command": command, "preset": config.preset, "seed": seed,
+               "checks": checks, "artifacts": artifacts,
+               "status": "pass" if all(checks.values()) else "fail", **extra}
+    _write_json(out / f"{command}_summary.json", summary)
+    return summary
 
 
 def simulate_samples(config: ExperimentConfig, seed: int, initial: str,
@@ -182,12 +203,12 @@ def simulate_samples(config: ExperimentConfig, seed: int, initial: str,
     """Centered/scaled one-point height samples at X = 0 for one initial."""
     T = config.T if T is None else T
     n = config.n_samples if n is None else n
-    obj, kind = _initial_object(initial, seed)
+    init = _INITIAL[initial]
     res = solve_she_ensemble(
-        obj, T, config.solver(extent), seed=seed * 10 + _SEED_OFFSET[initial],
-        n_replicas=n)
+        init.data(seed), T, config.solver(extent),
+        seed=_stream_seed(seed, initial), n_replicas=n)
     H = res.H[:, -1, :]  # final probe time, X = 0 column
-    return scale_center_height(H, T, kind, y_grid=[0.0]).values[:, 0]
+    return scale_center_height(H, T, init.kind, y_grid=[0.0]).values[:, 0]
 
 
 def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
@@ -198,8 +219,7 @@ def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
 def run_simulate(config: ExperimentConfig, seed: int, out_dir,
                  samples: Optional[dict] = None) -> dict:
     """Sample scaled heights per initial condition; check the Z first moment."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     if samples is None:
         samples = _collect_samples(config, seed)
     checks, artifacts = {}, []
@@ -225,24 +245,13 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
             stats_block[name]["z_mean"] = float(z.mean())
             stats_block[name]["z_se"] = float(se)
             stats_block[name]["z_exact"] = exact
-    summary = {
-        "command": "simulate",
-        "preset": config.preset,
-        "seed": seed,
-        "T": config.T,
-        "stats": stats_block,
-        "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
-        "artifacts": artifacts,
-    }
-    _write_json(out / "simulate_summary.json", summary)
-    return summary
+    return _summarize(out, "simulate", config, seed, checks, artifacts,
+                      T=config.T, stats=stats_block)
 
 
 def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Evaluate every theorem envelope over the s grid (informational)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     s_values = config.s_grid or (0.5, 1.0, 2.0, 4.0, 8.0)
     rows = []
     for theorem in BoundQuery.THEOREMS:
@@ -260,23 +269,13 @@ def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     path = out / "bounds.csv"
     _write_csv(path, ["theorem", "label", "s", "T", "value", "value_lower",
                       "regime", "c1", "c2", "validity_note"], rows)
-    summary = {
-        "command": "bounds",
-        "preset": config.preset,
-        "seed": seed,
-        "rows": len(rows),
-        "checks": {},
-        "status": "pass",
-        "artifacts": [path.name],
-    }
-    _write_json(out / "bounds_summary.json", summary)
-    return summary
+    return _summarize(out, "bounds", config, seed, {}, [path.name],
+                      rows=len(rows))
 
 
 def run_moments(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Exact moments vs the psi sandwich; k=1 closed form as a hard check."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     rows, sandwich_ok, closed_ok = [], True, True
     for T in config.moments_T:
         for k in config.moments_k:
@@ -293,58 +292,38 @@ def run_moments(config: ExperimentConfig, seed: int, out_dir) -> dict:
                       "quad_error"], rows)
     checks = {"psi_sandwich": bool(sandwich_ok),
               "k1_closed_form": bool(closed_ok)}
-    summary = {
-        "command": "moments",
-        "preset": config.preset,
-        "seed": seed,
-        "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
-        "artifacts": [path.name],
-    }
-    _write_json(out / "moments_summary.json", summary)
-    return summary
+    return _summarize(out, "moments", config, seed, checks, [path.name])
 
 
 def run_gibbs(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Resample bridges under a soft wall; record paths and acceptance."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     bridge = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1.0 / 64.0)
     spec = GibbsSpec(bridge=bridge, T=config.T, lower_curve=config.gibbs_wall)
-    res = gibbs_resample(spec, seed=seed * 10 + _SEED_OFFSET["gibbs"],
+    res = gibbs_resample(spec, seed=_stream_seed(seed, "gibbs"),
                          n=config.gibbs_n)
     path = out / "gibbs_paths.csv"
     header = ["replica"] + [f"x{i}" for i in range(res.grid.size)]
     _write_csv(path, header,
                ((i, *map(float, row)) for i, row in enumerate(res.paths)))
     checks = {"accepted_requested": bool(res.paths.shape[0] == config.gibbs_n)}
-    summary = {
-        "command": "gibbs",
-        "preset": config.preset,
-        "seed": seed,
-        "grid": [float(g) for g in res.grid],
-        "n_proposals": int(res.n_proposals),
-        "n_accepted": int(res.n_accepted),
-        "acceptance_rate": float(res.acceptance_rate),
-        "mean_weight": float(res.mean_weight),
-        "max_weight": float(res.max_weight),
-        "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
-        "artifacts": [path.name],
-    }
-    _write_json(out / "gibbs_summary.json", summary)
-    return summary
+    return _summarize(out, "gibbs", config, seed, checks, [path.name],
+                      grid=[float(g) for g in res.grid],
+                      n_proposals=int(res.n_proposals),
+                      n_accepted=int(res.n_accepted),
+                      acceptance_rate=float(res.acceptance_rate),
+                      mean_weight=float(res.mean_weight),
+                      max_weight=float(res.max_weight))
 
 
 def run_airy(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Laplace identity: simulated lhs vs GUE-edge rhs at each level."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ups = simulate_samples(config, seed * 10 + _SEED_OFFSET["airy_sim"],
+    out = _out_dir(out_dir)
+    ups = simulate_samples(config, _stream_seed(seed, "airy_sim"),
                            "narrow_wedge", T=config.airy_T, n=config.airy_n,
                            extent=config.airy_extent)
     edges = sample_gue_edge_many(config.airy_N, config.airy_K,
-                                 seed=seed * 10 + _SEED_OFFSET["airy_edge"],
+                                 seed=_stream_seed(seed, "airy_edge"),
                                  n_samples=config.airy_n)
     rows, ok = [], True
     for s in config.airy_s:
@@ -358,34 +337,22 @@ def run_airy(config: ExperimentConfig, seed: int, out_dir) -> dict:
     path = out / "airy.csv"
     _write_csv(path, ["s", "T", "lhs", "rhs", "se_lhs", "se_rhs",
                       "truncation_bound", "within_tolerance"], rows)
-    checks = {"laplace_identity": bool(ok)}
-    summary = {
-        "command": "airy",
-        "preset": config.preset,
-        "seed": seed,
-        "N": config.airy_N,
-        "K": config.airy_K,
-        "n": config.airy_n,
-        "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
-        "artifacts": [path.name],
-    }
-    _write_json(out / "airy_summary.json", summary)
-    return summary
+    return _summarize(out, "airy", config, seed, {"laplace_identity": bool(ok)},
+                      [path.name], N=config.airy_N, K=config.airy_K,
+                      n=config.airy_n)
 
 
 def run_report(config: ExperimentConfig, seed: int, out_dir,
                samples: Optional[dict] = None) -> dict:
     """Tail CIs vs clamped envelopes for every initial's theorem pair."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     if samples is None:
         samples = _collect_samples(config, seed)
     rows = []
     counts = {"CONSISTENT": 0, "VIOLATION": 0, "UNTESTABLE-AT-SCALE": 0}
     for name in config.initials:
         vals = samples[name]
-        for theorem in _REPORT_THEOREMS[name]:
+        for theorem in _INITIAL[name].theorems:
             side = THEOREM_TAIL_SIDE[theorem]
             ests = [mc_tail(vals, s, side, config.alpha)
                     for s in config.s_grid]
@@ -404,18 +371,9 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     _write_csv(path, ["initial", "theorem", "direction", "side", "s", "T",
                       "envelope_raw", "envelope", "estimate", "ci_lo", "ci_hi",
                       "n", "hits", "verdict", "slack", "regime"], rows)
-    checks = {"no_envelope_violation": counts[VIOLATION] == 0}
-    summary = {
-        "command": "report",
-        "preset": config.preset,
-        "seed": seed,
-        "verdicts": counts,
-        "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
-        "artifacts": [path.name],
-    }
-    _write_json(out / "report_summary.json", summary)
-    return summary
+    return _summarize(out, "report", config, seed,
+                      {"no_envelope_violation": counts[VIOLATION] == 0},
+                      [path.name], verdicts=counts)
 
 
 def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -148,9 +149,13 @@ def _initial_Z(initial: InitialData, T: float, cfg: SolverConfig) -> np.ndarray:
         return np.exp(init.H0)
 
 
-def _time_steps(t_final: float, dt: float) -> int:
-    steps = max(1, math.ceil(t_final / dt - 1e-9))
-    return steps
+def _time_steps(T: float, cfg: SolverConfig) -> tuple:
+    """(steps, dt): whole steps of size dt <= cfg.dt_value reaching 2T."""
+    if not T > 0.0:
+        raise ValueError("T must be positive")
+    t_final = 2.0 * T
+    steps = max(1, math.ceil(t_final / cfg.dt_value - 1e-9))
+    return steps, t_final / steps
 
 
 def _heat_step(Z: np.ndarray, out: np.ndarray, lam) -> None:
@@ -229,6 +234,29 @@ def _replica_generators(seed: int, start: int, count: int) -> list:
         (seed, start + i)))) for i in range(count)]
 
 
+def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float,
+            noise: bool = True):
+    """Yield the field after each of `steps` heat-then-noise steps.
+
+    Z holds one row per generator and is consumed as scratch.  A yielded
+    array is overwritten two steps later, so callers copy what they keep.
+    noise=False sets sigma = 0, which makes every multiplier exactly 1.0:
+    the generators are still drawn, but the field is the plain heat flow.
+    """
+    dtype = Z.dtype
+    lam = dtype.type(dt / (2.0 * dx**2))
+    sigma = dtype.type(math.sqrt(dt / dx) if noise else 0.0)
+    buf = np.empty_like(Z)
+    for start in range(0, steps, _WINDOW):
+        w = min(_WINDOW, steps - start)
+        mult = _window_multipliers(gens, w, Z.shape[1], sigma, dtype)
+        for j in range(w):
+            _heat_step(Z, buf, lam)
+            Z, buf = buf, Z
+            Z *= mult[j]
+            yield Z
+
+
 def solve_she(
     initial: InitialData,
     T: float,
@@ -241,29 +269,11 @@ def solve_she(
     noise=False runs the plain heat equation (deterministic oracle mode).
     The noisy path consumes randomness exactly like ensemble replica 0.
     """
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    dtype = np.dtype(cfg.dtype)
-    t_final = 2.0 * T
-    steps = _time_steps(t_final, cfg.dt_value)
-    dt = t_final / steps
-    lam = dtype.type(dt / (2.0 * cfg.dx**2))
-    sigma = dtype.type(math.sqrt(dt / cfg.dx))
-    Z = _initial_Z(initial, T, cfg).astype(dtype)[None, :]
-    buf = np.empty_like(Z)
-    gens = _replica_generators(seed, 0, 1) if noise else None
-    step = 0
-    while step < steps:
-        w = min(_WINDOW, steps - step)
-        mult = (_window_multipliers(gens, w, cfg.n_sites, sigma, dtype)
-                if noise else None)
-        for j in range(w):
-            _heat_step(Z, buf, lam)
-            Z, buf = buf, Z
-            if noise:
-                Z *= mult[j]
-        step += w
-    return LatticeField(dx=cfg.dx, extent=cfg.extent, t=t_final,
+    steps, dt = _time_steps(T, cfg)
+    Z0 = _initial_Z(initial, T, cfg).astype(cfg.dtype)[None, :]
+    gens = _replica_generators(seed, 0, 1)
+    Z = deque(_evolve(Z0, gens, steps, dt, cfg.dx, noise), maxlen=1).pop()
+    return LatticeField(dx=cfg.dx, extent=cfg.extent, t=2.0 * T,
                         x=cfg.x_grid, Z=Z[0].astype(np.float64))
 
 
@@ -314,17 +324,10 @@ def solve_she_ensemble(
     across replicas (quenched path from the initial condition's own seed);
     the dynamical noise varies.
     """
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    dtype = np.dtype(cfg.dtype)
     t_final = 2.0 * T
-    steps = _time_steps(t_final, cfg.dt_value)
-    dt = t_final / steps
-    lam = dtype.type(dt / (2.0 * cfg.dx**2))
-    sigma = dtype.type(math.sqrt(dt / cfg.dx))
-
     times = np.array([t_final] if probe_times is None else probe_times, float)
     step_of = np.round(times / dt).astype(int)
     if np.any(np.abs(step_of * dt - times) > 1e-9) or np.any(step_of < 1) or np.any(
@@ -338,30 +341,18 @@ def solve_she_ensemble(
     half = round(cfg.extent / cfg.dx)
     x_idx = np.round(x_snap / cfg.dx).astype(int) + half
 
-    Z0 = _initial_Z(initial, T, cfg).astype(dtype)
+    Z0 = _initial_Z(initial, T, cfg).astype(cfg.dtype)
     out = np.empty((n_replicas, times.size, x_snap.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
-    n_sites = cfg.n_sites
-    start = 0
-    while start < n_replicas:
+    for start in range(0, n_replicas, chunk):
         r = min(chunk, n_replicas - start)
         gens = _replica_generators(seed, start, r)
-        Z = np.tile(Z0, (r, 1))
-        buf = np.empty_like(Z)
-        step = 0
-        while step < steps:
-            w = min(_WINDOW, steps - step)
-            mult = _window_multipliers(gens, w, n_sites, sigma, dtype)
-            for j in range(w):
-                _heat_step(Z, buf, lam)
-                Z, buf = buf, Z
-                Z *= mult[j]
-                step += 1
-                hit = probe_set.get(step)
-                if hit is not None:
-                    out[start:start + r, hit, :] = Z[:, x_idx]
-        start += r
+        fields = _evolve(np.tile(Z0, (r, 1)), gens, steps, dt, cfg.dx)
+        for step, Z in enumerate(fields, 1):
+            hit = probe_set.get(step)
+            if hit is not None:
+                out[start:start + r, hit, :] = Z[:, x_idx]
 
     return EnsembleResult(T=T, seed=seed, n_replicas=n_replicas,
                           probe_times=step_of * dt, probe_x=x_snap, Z=out)

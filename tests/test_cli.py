@@ -66,6 +66,15 @@ class TestMain:
         assert "all: pass" in out
         assert (tmp_path / "summary.json").exists()
 
+    def test_bad_config_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps({"bogus": 1}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--config", str(path),
+                      "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unknown config fields: ['bogus']" in capsys.readouterr().err
+
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["moments", "--preset", "gigantic",

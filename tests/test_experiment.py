@@ -62,6 +62,17 @@ class TestConfig:
         assert cfg.n_samples == 77
         assert cfg.s_grid == (1.0, 3.0)
 
+    def test_overrides_not_mutated(self):
+        overrides = {"s_grid": [1.0, 3.0]}
+        preset_config("smoke", overrides)
+        assert overrides == {"s_grid": [1.0, 3.0]}
+
+    def test_unknown_override_field_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown config fields: \['bogus'\]"):
+            preset_config("smoke", {"bogus": 1, "n_samples": 77})
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentConfig.from_json('{"bogus": 1}')
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("huge")

@@ -160,6 +160,24 @@ class TestZeroNoise:
         assert edge_mass_fraction(f) <= 1e-8
         assert np.min(f.Z) > 0.0
 
+    @pytest.mark.parametrize("initial", [Flat(), NarrowWedge()])
+    def test_equals_repeated_heat_steps_bitwise(self, initial):
+        # noise=False runs the noisy loop with sigma = 0, so every noise
+        # multiplier must be exactly 1.0; 300 steps span two noise windows
+        cfg = SolverConfig(dx=0.1, dt=2.5e-3, extent=2.0, dtype="float64")
+        steps, T = 300, 0.375
+        Z = np.ones(cfg.n_sites)
+        if isinstance(initial, NarrowWedge):
+            Z = np.zeros(cfg.n_sites)
+            Z[cfg.n_sites // 2] = 1.0 / cfg.dx
+        lam = (2.0 * T / steps) / (2.0 * cfg.dx**2)
+        buf = np.empty_like(Z)
+        for _ in range(steps):
+            she._heat_step(Z, buf, lam)
+            Z, buf = buf, Z
+        f = solve_she(initial, T=T, cfg=cfg, noise=False)
+        assert np.array_equal(f.Z, Z)
+
     def test_time_step_override(self):
         cfg = SolverConfig(dx=0.1, dt=0.1**2 / 2.0, extent=2.0, dtype="float64")
         f = solve_she(Flat(), T=0.25, cfg=cfg, noise=False)
