@@ -201,12 +201,19 @@ def simulate_samples(config: ExperimentConfig, seed: int, initial: str,
                      T: Optional[float] = None, n: Optional[int] = None,
                      extent: Optional[float] = None) -> np.ndarray:
     """Centered/scaled one-point height samples at X = 0 for one initial."""
-    T = config.T if T is None else T
-    n = config.n_samples if n is None else n
+    return _height_samples(config, seed, initial, initial,
+                           config.T if T is None else T,
+                           config.n_samples if n is None else n, extent)
+
+
+def _height_samples(config: ExperimentConfig, seed: int, initial: str,
+                    stream: str, T: float, n: int,
+                    extent: Optional[float]) -> np.ndarray:
+    """simulate_samples with the ensemble on the run's RNG stream `stream`."""
     init = _INITIAL[initial]
     res = solve_she_ensemble(
         init.data(seed), T, config.solver(extent),
-        seed=_stream_seed(seed, initial), n_replicas=n)
+        seed=_stream_seed(seed, stream), n_replicas=n)
     H = res.H[:, -1, :]  # final probe time, X = 0 column
     return scale_center_height(H, T, init.kind, y_grid=[0.0]).values[:, 0]
 
@@ -319,9 +326,8 @@ def run_gibbs(config: ExperimentConfig, seed: int, out_dir) -> dict:
 def run_airy(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Laplace identity: simulated lhs vs GUE-edge rhs at each level."""
     out = _out_dir(out_dir)
-    ups = simulate_samples(config, _stream_seed(seed, "airy_sim"),
-                           "narrow_wedge", T=config.airy_T, n=config.airy_n,
-                           extent=config.airy_extent)
+    ups = _height_samples(config, seed, "narrow_wedge", "airy_sim",
+                          config.airy_T, config.airy_n, config.airy_extent)
     edges = sample_gue_edge_many(config.airy_N, config.airy_K,
                                  seed=_stream_seed(seed, "airy_edge"),
                                  n_samples=config.airy_n)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from kpztails import experiment
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
                                  run_all, run_bounds, run_moments)
 
@@ -182,6 +183,28 @@ class TestBundle:
         b = run_simulate(tiny_cfg, 1, tmp_path / "b")
         assert (a["stats"]["narrow_wedge"]["mean"]
                 != b["stats"]["narrow_wedge"]["mean"])
+
+
+class TestStreams:
+    def test_seeds_share_no_solver_stream(self, tiny_cfg, tmp_path,
+                                          monkeypatch):
+        # every ensemble of a run, the airy one included, must draw from
+        # replica streams that no ensemble of another seed draws from
+        real = experiment.solve_she_ensemble
+        seeds = []
+
+        def record(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "solve_she_ensemble", record)
+        used = {}
+        for seed in (0, 3):
+            seeds.clear()
+            run_all(tiny_cfg, seed, tmp_path / str(seed))
+            used[seed] = set(seeds)
+            assert len(used[seed]) == len(seeds) == 4
+        assert used[0].isdisjoint(used[3]), (used[0], used[3])
 
 
 class TestPartialRuns:
