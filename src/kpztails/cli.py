@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         overrides = (None if args.config is None
                      else json.loads(args.config.read_text()))
         config = preset_config(args.preset, overrides)
-    except ValueError as exc:  # malformed JSON or a bad config field
+    except (OSError, ValueError) as exc:  # unreadable file or bad field
         parser.error(f"--config {args.config}: {exc}")
     summary = _RUNNERS[args.command](config, args.seed, args.out_dir)
     for name, ok in summary.get("checks", {}).items():

@@ -134,6 +134,8 @@ _TUPLE_FIELDS = ("initials", "s_grid", "airy_s", "moments_k", "moments_T")
 
 def _config_fields(d: dict) -> dict:
     """A copy of d with sequences made tuples; unknown fields raise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")

@@ -66,14 +66,22 @@ class TestMain:
         assert "all: pass" in out
         assert (tmp_path / "summary.json").exists()
 
-    def test_bad_config_field_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"bogus": 1}))
+    @pytest.mark.parametrize("text, message", [
+        ('{"bogus": 1}', "unknown config fields: ['bogus']"),
+        ('{"n_samples": 1}', "sample counts must be at least 2"),
+        ('["n_samples"]', "config must be a JSON object"),
+        ('{"n_samples": ', "Expecting value"),
+        (None, "No such file"),
+    ])
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
         with pytest.raises(SystemExit) as exc:
             cli.main(["bounds", "--config", str(path),
                       "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
-        assert "unknown config fields: ['bogus']" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
