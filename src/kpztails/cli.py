@@ -3,9 +3,10 @@
 Commands map one-to-one onto the experiment runners; `all` runs every
 section.  Every command accepts --preset, --config (a JSON file
 overriding preset fields), --seed, and --out-dir, writes its artifacts
-under the output directory, prints one line per check (per section for
-`all`), and exits 0 iff all executed checks pass (UNTESTABLE-AT-SCALE
-verdicts never fail a run).
+under the output directory, prints one line per check (per section with
+its wall time, and one solver thread count line, for `all`), and exits 0
+iff all executed checks pass (UNTESTABLE-AT-SCALE verdicts never fail a
+run).
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def main(argv=None) -> int:
     for name, ok in summary.get("checks", {}).items():
         print(f"{args.command}/{name}: {'pass' if ok else 'FAIL'}")
     for name, status in summary.get("sections", {}).items():
-        print(f"{args.command}/{name}: {'pass' if status == 'pass' else 'FAIL'}")
+        print(f"{args.command}/{name}: {'pass' if status == 'pass' else 'FAIL'}"
+              f" ({summary['wall_s'][name]:.1f} s)")
+    if "solver_threads" in summary:
+        print(f"{args.command}/solver threads: {summary['solver_threads']}")
     if "verdicts" in summary:
         for verdict, count in sorted(summary["verdicts"].items()):
             print(f"{args.command}/verdict {verdict}: {count}")

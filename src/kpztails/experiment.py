@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,7 @@ from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
 from .moments import SANDWICH_FACTOR, moment_exact, psi
-from .she import SolverConfig, solve_she_ensemble
+from .she import SolverConfig, solve_she_ensemble, usable_cores
 from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
                     mc_tail)
 
@@ -160,7 +161,11 @@ PRESETS = {
 def preset_config(name: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return replace(PRESETS[name], **_config_fields(overrides or {}))
+    chosen = _config_fields(overrides or {})
+    # a config of its own constants, so that editing it cannot edit a preset
+    chosen["constants"] = dict(chosen.get("constants",
+                                          PRESETS[name].constants))
+    return replace(PRESETS[name], **chosen)
 
 
 def _fmt(v) -> str:
@@ -305,7 +310,7 @@ def run_moments(config: ExperimentConfig, seed: int, out_dir) -> dict:
 
 
 def run_gibbs(config: ExperimentConfig, seed: int, out_dir) -> dict:
-    """Resample bridges under a soft wall; record paths and acceptance."""
+    """Resample bridges under a soft wall; check acceptance against weight."""
     out = _out_dir(out_dir)
     bridge = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1.0 / 64.0)
     spec = GibbsSpec(bridge=bridge, T=config.T, lower_curve=config.gibbs_wall)
@@ -315,7 +320,12 @@ def run_gibbs(config: ExperimentConfig, seed: int, out_dir) -> dict:
     header = ["replica"] + [f"x{i}" for i in range(res.grid.size)]
     _write_csv(path, header,
                ((i, *map(float, row)) for i, row in enumerate(res.paths)))
-    checks = {"accepted_requested": bool(res.paths.shape[0] == config.gibbs_n)}
+    # each proposal is accepted with probability its weight, so the rate
+    # must match the mean weight within binomial error
+    p = res.mean_weight
+    se = math.sqrt(p * (1.0 - p) / res.n_proposals)
+    checks = {"acceptance_matches_weight":
+              bool(abs(res.acceptance_rate - p) <= 4.0 * se)}
     return _summarize(out, "gibbs", config, seed, checks, [path.name],
                       grid=[float(g) for g in res.grid],
                       n_proposals=int(res.n_proposals),
@@ -388,18 +398,30 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Run every section; with an empty s grid, skip simulation and report.
 
     Returns a merged summary; overall status is "pass" iff every executed
-    section passed (UNTESTABLE-AT-SCALE cells never fail a run).
+    section passed (UNTESTABLE-AT-SCALE cells never fail a run).  The
+    returned summary also carries each section's wall time ("wall_s"; the
+    shared ensembles count to simulate) and the solver's worker thread
+    count ("solver_threads"); neither is written to summary.json, so the
+    artifacts stay byte-deterministic.
     """
     out = Path(out_dir)
-    sections = {}
+    sections, wall_s = {}, {}
+    lap = time.perf_counter()
+
+    def record(name: str, section: dict) -> None:
+        nonlocal lap
+        sections[name] = section
+        now = time.perf_counter()
+        wall_s[name], lap = now - lap, now
+
     if config.s_grid:
         samples = _collect_samples(config, seed)
-        sections["simulate"] = run_simulate(config, seed, out, samples)
-        sections["report"] = run_report(config, seed, out, samples)
-    sections["bounds"] = run_bounds(config, seed, out)
-    sections["moments"] = run_moments(config, seed, out)
-    sections["gibbs"] = run_gibbs(config, seed, out)
-    sections["airy"] = run_airy(config, seed, out)
+        record("simulate", run_simulate(config, seed, out, samples))
+        record("report", run_report(config, seed, out, samples))
+    record("bounds", run_bounds(config, seed, out))
+    record("moments", run_moments(config, seed, out))
+    record("gibbs", run_gibbs(config, seed, out))
+    record("airy", run_airy(config, seed, out))
     status = "pass" if all(s["status"] == "pass"
                            for s in sections.values()) else "fail"
     summary = {
@@ -412,4 +434,4 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
                             for a in s["artifacts"]),
     }
     _write_json(out / "summary.json", summary)
-    return summary
+    return {**summary, "wall_s": wall_s, "solver_threads": usable_cores()}

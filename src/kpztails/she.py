@@ -21,15 +21,21 @@ reflection-image correction 2 exp(-((2L-|X|)^2 - X^2)/(2t)) of the killed
 kernel (delta data at the origin).
 
 Replicas own independent PCG64 streams seeded by (master seed, replica
-index), so every ensemble readout is a pure function of (seed, replica
-count) regardless of chunking.
+index), and every noise and stencil operation acts row by row, so every
+ensemble readout is a pure function of (seed, replica count) whatever the
+chunking and whatever the number of worker threads.  The ensemble solver
+splits each chunk of replicas into one contiguous row block per usable
+core and evolves the blocks in threads; numpy's ufuncs and uniform fills
+release the interpreter lock, so the blocks run in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -51,6 +57,7 @@ __all__ = [
     "EnsembleResult",
     "solve_she",
     "solve_she_ensemble",
+    "usable_cores",
     "cole_hopf",
     "boundary_bias_bound",
     "edge_mass_fraction",
@@ -305,6 +312,14 @@ def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
     return dx * np.round(np.asarray(values, dtype=float) / dx)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the solver's worker thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def solve_she_ensemble(
     initial: InitialData,
     T: float,
@@ -319,10 +334,16 @@ def solve_she_ensemble(
 
     Results are a pure function of (seed, n_replicas): replica r draws all
     of its noise from PCG64 seeded with SeedSequence((seed, r)) in fixed
-    windows of _WINDOW steps, and readouts are stored in replica order, so
-    chunk size cannot change them.  Brownian initial data is held fixed
-    across replicas (quenched path from the initial condition's own seed);
-    the dynamical noise varies.
+    windows of _WINDOW steps, every operation on the field acts row by
+    row, and readouts are stored in replica order, so neither the chunk
+    size nor the worker count can change them.  Brownian initial data is
+    held fixed across replicas (quenched path from the initial condition's
+    own seed); the dynamical noise varies.
+
+    chunk bounds the replicas in flight, and so the noise window held in
+    memory, across all workers together: each chunk is split into
+    min(usable_cores(), rows) contiguous row blocks that are evolved in
+    parallel threads, and the next chunk starts when all of them are done.
     """
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:
@@ -345,14 +366,24 @@ def solve_she_ensemble(
     out = np.empty((n_replicas, times.size, x_snap.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
-    for start in range(0, n_replicas, chunk):
-        r = min(chunk, n_replicas - start)
-        gens = _replica_generators(seed, start, r)
-        fields = _evolve(np.tile(Z0, (r, 1)), gens, steps, dt, cfg.dx)
+    def run_block(lo: int, hi: int) -> None:
+        gens = _replica_generators(seed, lo, hi - lo)
+        fields = _evolve(np.tile(Z0, (hi - lo, 1)), gens, steps, dt, cfg.dx)
         for step, Z in enumerate(fields, 1):
             hit = probe_set.get(step)
             if hit is not None:
-                out[start:start + r, hit, :] = Z[:, x_idx]
+                out[lo:hi, hit, :] = Z[:, x_idx]
+
+    cores = usable_cores()
+    with ThreadPoolExecutor(cores) as pool:
+        for start in range(0, n_replicas, chunk):
+            r = min(chunk, n_replicas - start)
+            w = min(cores, r)
+            edges = [start + r * i // w for i in range(w + 1)]
+            if w == 1:
+                run_block(start, start + r)
+            else:  # list() reads every result, re-raising a block's error
+                list(pool.map(run_block, edges[:-1], edges[1:]))
 
     return EnsembleResult(T=T, seed=seed, n_replicas=n_replicas,
                           probe_times=step_of * dt, probe_x=x_snap, Z=out)

@@ -1,12 +1,13 @@
 """Tests for the kpz-tails command line interface."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from kpztails import cli
+from kpztails import cli, she
 
 TINY = {"n_samples": 60, "s_grid": [1.0, 2.0], "gibbs_n": 20, "airy_n": 40,
         "airy_N": 128, "airy_K": 6, "moments_k": [1, 2], "moments_T": [1.0],
@@ -62,9 +63,12 @@ class TestMain:
         out = capsys.readouterr().out
         for section in ("simulate", "report", "bounds", "moments", "gibbs",
                         "airy"):
-            assert f"all/{section}: pass" in out
+            assert re.search(rf"^all/{section}: pass \(\d+\.\d s\)$", out,
+                             re.MULTILINE), section
+        assert f"all/solver threads: {she.usable_cores()}\n" in out
         assert "all: pass" in out
-        assert (tmp_path / "summary.json").exists()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "wall_s" not in summary and "solver_threads" not in summary
 
     @pytest.mark.parametrize("text, message", [
         ('{"bogus": 1}', "unknown config fields: ['bogus']"),

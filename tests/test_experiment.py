@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from kpztails import experiment
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
-                                 run_all, run_bounds, run_moments)
+                                 run_all, run_bounds, run_gibbs, run_moments)
 
 # small enough for the whole bundle to run in about a second
 TINY = dict(n_samples=60, s_grid=(1.0, 2.0), gibbs_n=20, airy_n=40,
@@ -67,6 +68,13 @@ class TestConfig:
         overrides = {"s_grid": [1.0, 3.0]}
         preset_config("smoke", overrides)
         assert overrides == {"s_grid": [1.0, 3.0]}
+
+    def test_configs_do_not_share_constants(self):
+        a, b = preset_config("smoke"), preset_config("smoke")
+        assert a.constants is not b.constants
+        assert a.constants is not PRESETS["smoke"].constants
+        a.constants["s0"] = 5.0
+        assert b.constants["s0"] == PRESETS["smoke"].constants["s0"] != 5.0
 
     def test_unknown_override_field_rejected(self):
         with pytest.raises(ValueError, match=r"unknown config fields: \['bogus'\]"):
@@ -141,6 +149,7 @@ class TestBundle:
         assert summary["n_accepted"] >= tiny_cfg.gibbs_n
         assert len(header) == 1 + len(summary["grid"])
         assert 0.0 < summary["acceptance_rate"] <= 1.0
+        assert summary["checks"] == {"acceptance_matches_weight": True}
         # bridge pinned at both ends
         assert all(float(r[1]) == 0.0 and float(r[-1]) == 0.0 for r in rows)
 
@@ -183,6 +192,21 @@ class TestBundle:
         b = run_simulate(tiny_cfg, 1, tmp_path / "b")
         assert (a["stats"]["narrow_wedge"]["mean"]
                 != b["stats"]["narrow_wedge"]["mean"])
+
+
+class TestGibbsCheck:
+    def test_rate_inconsistent_with_weight_fails(self, tiny_cfg, tmp_path,
+                                                 monkeypatch):
+        real = experiment.gibbs_resample
+
+        def accept_all(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return replace(res, n_accepted=res.n_proposals)
+
+        monkeypatch.setattr(experiment, "gibbs_resample", accept_all)
+        summary = run_gibbs(tiny_cfg, 0, tmp_path)
+        assert summary["checks"] == {"acceptance_matches_weight": False}
+        assert summary["status"] == "fail"
 
 
 class TestStreams:

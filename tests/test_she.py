@@ -237,6 +237,35 @@ class TestEnsemble:
         b = solve_she_ensemble(Flat(), T=0.255, cfg=cfg, seed=3, n_replicas=10)
         assert np.array_equal(a.Z, b.Z)
 
+    @pytest.mark.parametrize("initial, T, cfg, n, chunk", [
+        # odd replica count, float64 lattice
+        (NarrowWedge(), 0.5, SolverConfig(dx=0.1, dt=2e-3, extent=2.0,
+                                          dtype="float64"), 11, 512),
+        # chunks of two rows, fewer than three workers
+        (Flat(), 0.5, SolverConfig(dx=0.1, dt=2e-3, extent=2.0), 7, 2),
+        (BrownianTwoSided(seed=5), 0.5, SolverConfig(dx=0.1, dt=2e-3,
+                                                     extent=2.0), 9, 4),
+    ])
+    def test_worker_count_does_not_change_results(self, monkeypatch, initial,
+                                                  T, cfg, n, chunk):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(she, "usable_cores", lambda: workers)
+            runs.append(solve_she_ensemble(initial, T=T, cfg=cfg, seed=4,
+                                           n_replicas=n, chunk=chunk).Z)
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+    def test_error_in_a_block_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("injected block failure")
+
+        monkeypatch.setattr(she, "usable_cores", lambda: 2)
+        monkeypatch.setattr(she, "_window_multipliers", broken)
+        with pytest.raises(FloatingPointError, match="injected"):
+            solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
+                               n_replicas=4)
+
     def test_heat_step_matches_per_row_stencil(self):
         rng = np.random.default_rng(0)
         Z = rng.random((3, 7), dtype=np.float32) + np.float32(0.5)
