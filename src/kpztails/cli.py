@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import she
 from .experiment import (PRESETS, preset_config, run_airy, run_all,
                          run_bounds, run_gibbs, run_moments, run_report,
                          run_simulate)
@@ -66,8 +67,8 @@ def main(argv=None) -> int:
     for name, status in summary.get("sections", {}).items():
         print(f"{args.command}/{name}: {'pass' if status == 'pass' else 'FAIL'}"
               f" ({summary['wall_s'][name]:.1f} s)")
-    if "solver_threads" in summary:
-        print(f"{args.command}/solver threads: {summary['solver_threads']}")
+    if args.command == "all":
+        print(f"all/solver threads: {she.usable_cores()}")
     if "verdicts" in summary:
         for verdict, count in sorted(summary["verdicts"].items()):
             print(f"{args.command}/verdict {verdict}: {count}")

@@ -31,7 +31,7 @@ from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
 from .moments import SANDWICH_FACTOR, moment_exact, psi
-from .she import SolverConfig, solve_she_ensemble, usable_cores
+from .she import SolverConfig, solve_she_ensemble
 from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
                     mc_tail)
 
@@ -400,9 +400,8 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
     Returns a merged summary; overall status is "pass" iff every executed
     section passed (UNTESTABLE-AT-SCALE cells never fail a run).  The
     returned summary also carries each section's wall time ("wall_s"; the
-    shared ensembles count to simulate) and the solver's worker thread
-    count ("solver_threads"); neither is written to summary.json, so the
-    artifacts stay byte-deterministic.
+    shared ensembles count to simulate), which is not written to
+    summary.json, so the artifacts stay byte-deterministic.
     """
     out = Path(out_dir)
     sections, wall_s = {}, {}
@@ -434,4 +433,4 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
                             for a in s["artifacts"]),
     }
     _write_json(out / "summary.json", summary)
-    return {**summary, "wall_s": wall_s, "solver_threads": usable_cores()}
+    return {**summary, "wall_s": wall_s}

@@ -57,7 +57,6 @@ __all__ = [
     "EnsembleResult",
     "solve_she",
     "solve_she_ensemble",
-    "usable_cores",
     "cole_hopf",
     "boundary_bias_bound",
     "edge_mass_fraction",
@@ -344,6 +343,10 @@ def solve_she_ensemble(
     memory, across all workers together: each chunk is split into
     min(usable_cores(), rows) contiguous row blocks that are evolved in
     parallel threads, and the next chunk starts when all of them are done.
+    Each block also holds its own Box-Muller scratch of up to _NOISE_ROWS
+    replicas' window (about 4 MB in float32 on a 241-site lattice), so
+    memory does grow with the core count, by up to twice the noise window
+    once the blocks are _NOISE_ROWS rows or fewer.
     """
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:
@@ -380,10 +383,8 @@ def solve_she_ensemble(
             r = min(chunk, n_replicas - start)
             w = min(cores, r)
             edges = [start + r * i // w for i in range(w + 1)]
-            if w == 1:
-                run_block(start, start + r)
-            else:  # list() reads every result, re-raising a block's error
-                list(pool.map(run_block, edges[:-1], edges[1:]))
+            # list() reads every result, re-raising a block's error
+            list(pool.map(run_block, edges[:-1], edges[1:]))
 
     return EnsembleResult(T=T, seed=seed, n_replicas=n_replicas,
                           probe_times=step_of * dt, probe_x=x_snap, Z=out)

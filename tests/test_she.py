@@ -256,11 +256,12 @@ class TestEnsemble:
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
 
-    def test_error_in_a_block_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_block_propagates(self, monkeypatch, workers):
         def broken(*args, **kwargs):
             raise FloatingPointError("injected block failure")
 
-        monkeypatch.setattr(she, "usable_cores", lambda: 2)
+        monkeypatch.setattr(she, "usable_cores", lambda: workers)
         monkeypatch.setattr(she, "_window_multipliers", broken)
         with pytest.raises(FloatingPointError, match="injected"):
             solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
