@@ -108,6 +108,9 @@ class ExperimentConfig:
     moments_T: tuple = (1.0, 4.0)
 
     def __post_init__(self) -> None:
+        # a dict of its own, so that editing the caller's dict, a preset's
+        # or another config's cannot edit this one
+        object.__setattr__(self, "constants", dict(self.constants))
         if self.n_samples < 2 or self.gibbs_n < 2 or self.airy_n < 2:
             raise ValueError("sample counts must be at least 2")
         bad = [i for i in self.initials if i not in _INITIAL]
@@ -161,11 +164,7 @@ PRESETS = {
 def preset_config(name: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    chosen = _config_fields(overrides or {})
-    # a config of its own constants, so that editing it cannot edit a preset
-    chosen["constants"] = dict(chosen.get("constants",
-                                          PRESETS[name].constants))
-    return replace(PRESETS[name], **chosen)
+    return replace(PRESETS[name], **_config_fields(overrides or {}))
 
 
 def _fmt(v) -> str:

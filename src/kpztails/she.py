@@ -312,7 +312,8 @@ def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the solver's worker thread count."""
+    """Cores this process may run on: the worker thread count of both the
+    ensemble solver and the GUE edge sampler (airy.sample_gue_edge_many)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks

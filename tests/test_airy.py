@@ -16,6 +16,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import ai_zeros
 from scipy.stats import beta
 
+from kpztails import airy, she
 from kpztails.airy import (
     AiryEdgeSample,
     LaplaceEstimate,
@@ -74,15 +75,46 @@ class TestSampleGueEdge:
         assert np.all(np.diff(batch, axis=1) < 0.0)
 
     def test_top_k_matches_full_spectrum(self):
-        # restricted-index banded solve against the full solve
+        # the library's top-index bisection against the full solve
         rng = np.random.Generator(np.random.PCG64(3))
         N, K = 128, 5
         diag = rng.standard_normal(N)
         off = np.sqrt(rng.chisquare(2.0 * (N - np.arange(1, N)))) / math.sqrt(2)
         full = np.sort(eigh_tridiagonal(diag, off, eigvals_only=True))[-K:]
-        top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                               select_range=(N - K, N - 1))
+        top = airy._top_eigvals(diag, off, K)
         np.testing.assert_allclose(top, full, rtol=1e-12)
+
+    @pytest.mark.parametrize("N, K, split", [
+        (64, 1, False), (128, 5, False), (512, 10, False), (100, 16, False),
+        (2048, 3, False), (128, 5, True), (512, 10, True)])
+    def test_top_eigvals_bitwise_equal_to_scipy(self, N, K, split):
+        rng = np.random.Generator(np.random.PCG64(N + K))
+        diag = rng.standard_normal(N)
+        off = np.sqrt(rng.chisquare(2.0 * (N - np.arange(1, N)))) / math.sqrt(2)
+        if split:  # zero couplings split the matrix into blocks (nsplit > 1)
+            off[[N // 4, N // 2, N - 2]] = 0.0
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(N - K, N - 1))
+        got = airy._top_eigvals(diag, off, K)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N, K, n", [(128, 4, 11), (64, 3, 2), (64, 2, 1)])
+    def test_worker_count_does_not_change_results(self, monkeypatch, N, K, n):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(she, "usable_cores", lambda: workers)
+            runs.append(sample_gue_edge_many(N, K, seed=8, n_samples=n))
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_block_propagates(self, monkeypatch, workers):
+        def broken(diag, off, K):
+            raise np.linalg.LinAlgError("injected block failure")
+
+        monkeypatch.setattr(she, "usable_cores", lambda: workers)
+        monkeypatch.setattr(airy, "_top_eigvals", broken)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            sample_gue_edge_many(64, 2, seed=0, n_samples=4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="64"):

@@ -76,6 +76,12 @@ class TestConfig:
         a.constants["s0"] = 5.0
         assert b.constants["s0"] == PRESETS["smoke"].constants["s0"] != 5.0
 
+    def test_config_does_not_share_callers_constants(self):
+        d = {"K": 2.0, "K1": 1.0, "K2": 1.0, "s0": 0.0}
+        cfg = ExperimentConfig(constants=d)
+        d["s0"] = 5.0
+        assert cfg.constants["s0"] == 0.0
+
     def test_unknown_override_field_rejected(self):
         with pytest.raises(ValueError, match=r"unknown config fields: \['bogus'\]"):
             preset_config("smoke", {"bogus": 1, "n_samples": 77})
