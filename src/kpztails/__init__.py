@@ -7,23 +7,18 @@ narrow-wedge height against the GUE edge through a Laplace transform
 identity.  The `kpz-tails` command line runs preset experiment bundles.
 """
 
-from .airy import (AiryEdgeSample, LaplaceEstimate, ZeroBoundCheck,
-                   airy_zero_bound, airy_zero_bound_check, fermi_factor,
-                   laplace_lhs, laplace_rhs, log_factor, sample_gue_edge,
+from .airy import (LaplaceEstimate, laplace_lhs, laplace_rhs,
                    sample_gue_edge_many)
 from .bounds import (BoundQuery, BoundResult, brownian_lower_tail,
                      brownian_upper_tail, classify_regime, evaluate_query,
                      general_upper_tail, lower_tail_upper_general,
                      nw_lower_tail, nw_upper_laplace_bounds, nw_upper_tail)
 from .bridges import (BridgeSpec, DominanceReport, GibbsResult, GibbsSpec,
-                      bm_parabola_crossing_bound, bm_parabola_crossing_mc,
                       bridge_min_tail, bridge_min_tail_mc, dominance_test,
-                      gibbs_resample, hamiltonian, log_hamiltonian,
-                      reflection_two_sided_min_bound,
-                      reflection_two_sided_min_mc, sample_bridge)
+                      gibbs_resample, sample_bridge)
 from .experiment import (ExperimentConfig, preset_config, run_airy,
                          run_all, run_bounds, run_gibbs, run_moments,
-                         run_report, run_simulate, simulate_samples)
+                         run_report, run_simulate)
 from .initial_data import (BrownianTwoSided, Flat, GeneralScaled, HypParams,
                            HypReport, NarrowWedge, Profile,
                            ScaledHeightSample, load_profile_csv,
@@ -34,11 +29,10 @@ from .moments import (SANDWICH_FACTOR, MarkovBound, MomentResult, Partition,
                       log_psi, markov_upper_tail, moment_exact,
                       paley_zygmund_lower, partition_cubic_gap, psi,
                       siegel_check)
-from .she import (EnsembleResult, FKGReport, LatticeField, SolverConfig,
-                  StationarityReport, boundary_bias_bound, cole_hopf,
-                  convolve_upsilon_with_f, edge_mass_fraction,
-                  fkg_joint_vs_product, snap_to_grid, solve_she,
-                  solve_she_ensemble, stationarity_report)
+from .she import (EnsembleResult, FKGReport, SolverConfig,
+                  StationarityReport, boundary_bias_bound,
+                  convolve_upsilon_with_f, fkg_joint_vs_product,
+                  snap_to_grid, solve_she_ensemble, stationarity_report)
 from .tails import (CONSISTENT, UNTESTABLE, VIOLATION, CellVerdict,
                     TailEstimate, bound_violation_report, clopper_pearson,
                     mc_tail)

@@ -6,20 +6,19 @@ that the narrow-wedge KPZ distribution is tied to through
 
     E[exp(-exp(T^{1/3}(Upsilon_T(0) - s)))] = E[prod_k I_s(a_k)],
 
-with the Fermi factor I_s(x) = 1/(1 + e^{T^{1/3}(x - s)}) and its
-log-complement J_s(x) = log(1 + e^{T^{1/3}(x - s)}), so I_s = e^{-J_s}.
-Both sides are estimated by Monte Carlo: the left from simulated
-Upsilon_T(0) readouts, the right from tridiagonal GUE edge samples with
-the product truncated at K points and the dropped tail controlled by an
-explicit bound on sum_{k>K} J_s along a k^{2/3} decay envelope.
+with I_s(x) = 1/(1 + e^{T^{1/3}(x - s)}).  Both sides are estimated by
+Monte Carlo: the left from simulated Upsilon_T(0) readouts, the right from
+tridiagonal GUE edge samples with the product truncated at K points and
+the dropped tail controlled by an explicit bound on sum_{k>K} -log I_s
+along a k^{2/3} decay envelope.
 
 Matrix model: diagonal N(0,1), off-diagonal chi_{2(N-k)}/sqrt(2).  The
 top-K eigenvalues come from Sturm-sequence bisection (LAPACK dstebz over
 the top index range): about 53 O(N) count sweeps per eigenvalue, so
 K*53 sweeps per draw rather than an O(N^3) full solve.  dstebz is called
 through ctypes, which releases the interpreter lock, and the draws are
-split into one contiguous block per usable core (she.usable_cores) run in
-threads; each draw owns its own seed stream, so the output is the same
+split into one contiguous block per usable core (she.run_row_blocks) run
+in threads; each draw owns its own seed stream, so the output is the same
 on any number of cores.
 """
 
@@ -27,49 +26,23 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.special import expit
 
 from . import she
 
 __all__ = [
-    "AiryEdgeSample",
     "LaplaceEstimate",
-    "sample_gue_edge",
     "sample_gue_edge_many",
-    "fermi_factor",
-    "log_factor",
     "laplace_lhs",
     "laplace_rhs",
-    "airy_zero_bound",
-    "airy_zero_bound_check",
 ]
 
 _THIRD = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class AiryEdgeSample:
-    """Top-K edge-scaled eigenvalues of one GUE draw, a_1 > ... > a_K."""
-
-    N: int
-    K: int
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.shape != (self.K,):
-            raise ValueError("points must have shape (K,)")
-        if self.K > self.N:
-            raise ValueError("cannot retain more points than the matrix size")
-        if not np.all(np.diff(pts) < 0.0):
-            raise ValueError("edge points must be strictly decreasing")
+# laplace_rhs fails when its K-truncation bound exceeds this
+_TRUNCATION_TOL = 0.01
 
 
 def _capsule_pointer(capsule) -> int:
@@ -131,31 +104,20 @@ def _edge_points_one(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return N**(1.0 / 6.0) * (lam[::-1] - 2.0 * math.sqrt(N))
 
 
-def _validate_size(N: int, K: int) -> None:
+def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarray:
+    """n_samples independent draws stacked as an (n_samples, K) array.
+
+    Row i holds the top-K edge-scaled eigenvalues a_1 > ... > a_K of one
+    N by N draw seeded with SeedSequence((seed, i)), so results are a pure
+    function of (seed, n_samples) prefix-stable in n_samples.  The rows
+    are split into min(she.usable_cores(), n_samples) contiguous blocks
+    drawn in parallel threads (she.run_row_blocks), each writing only its
+    own rows, so the worker count cannot change them.
+    """
     if N < 64:
         raise ValueError("matrix size must be at least 64")
     if not 1 <= K <= 16:
         raise ValueError("retained point count must be in [1, 16]")
-
-
-def sample_gue_edge(N: int, K: int, seed: int) -> AiryEdgeSample:
-    """One draw of the top-K edge-scaled GUE eigenvalues."""
-    _validate_size(N, K)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-    return AiryEdgeSample(N=N, K=K, points=_edge_points_one(N, K, rng))
-
-
-def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarray:
-    """n_samples independent draws stacked as an (n_samples, K) array.
-
-    Row i reproduces sample_gue_edge(N, K, seed) draw semantics with the
-    replica index mixed into the seed sequence, so results are a pure
-    function of (seed, n_samples) prefix-stable in n_samples.  The rows
-    are split into min(she.usable_cores(), n_samples) contiguous blocks
-    drawn in parallel threads, each writing only its own rows, so the
-    worker count cannot change them.
-    """
-    _validate_size(N, K)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     out = np.empty((n_samples, K))
@@ -166,26 +128,8 @@ def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarra
                 np.random.SeedSequence((seed, i))))
             out[i] = _edge_points_one(N, K, rng)
 
-    w = min(she.usable_cores(), n_samples)
-    edges = [n_samples * i // w for i in range(w + 1)]
-    with ThreadPoolExecutor(w) as pool:
-        # list() reads every result, re-raising a block's error
-        list(pool.map(run_block, edges[:-1], edges[1:]))
+    she.run_row_blocks(run_block, n_samples, n_samples)
     return out
-
-
-def fermi_factor(x, s: float, T: float):
-    """I_s(x) = 1/(1 + e^{T^{1/3}(x-s)}), stable for any argument size."""
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    return expit(-(T**_THIRD) * (np.asarray(x, dtype=float) - s))
-
-
-def log_factor(x, s: float, T: float):
-    """J_s(x) = log(1 + e^{T^{1/3}(x-s)}) in softplus form; I_s = e^{-J_s}."""
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    return np.logaddexp(0.0, (T**_THIRD) * (np.asarray(x, dtype=float) - s))
 
 
 @dataclass(frozen=True)
@@ -244,25 +188,19 @@ def _tail_bound(worst_aK: float, K: int, s: float, T: float) -> float:
             return math.inf
 
 
-def laplace_rhs(
-    samples: Union[np.ndarray, Sequence[AiryEdgeSample]],
-    s: float,
-    T: float,
-    truncation_tol: float = 0.01,
-) -> LaplaceEstimate:
+def laplace_rhs(samples: np.ndarray, s: float, T: float) -> LaplaceEstimate:
     """Mean of prod_{k<=K} I_s(a_k) over edge samples, with tail control.
 
-    samples is an (n, K) array from sample_gue_edge_many or a sequence of
-    AiryEdgeSample.  Dropping the factors k > K can only raise the
-    product (each factor is in (0,1)); the overshoot is at most
-    value * (1 - e^{-B}) with B bounding sum_{k>K} J_s per sample, and
-    that absolute bound is reported.  If it exceeds truncation_tol the
-    product is not trustworthy at this K and the call fails.
+    samples is an (n, K) array from sample_gue_edge_many.  Each factor is
+    I_s = e^{-J_s} with J_s(x) = log(1 + e^{T^{1/3}(x - s)}), in (0, 1),
+    so dropping the factors k > K can only raise the product; the
+    overshoot is at most value * (1 - e^{-B}) with B bounding
+    sum_{k>K} J_s per sample, and that absolute bound is reported.  If it
+    exceeds _TRUNCATION_TOL the product is not trustworthy at this K and
+    the call fails.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
-    if not isinstance(samples, np.ndarray):
-        samples = np.vstack([np.asarray(s_.points) for s_ in samples])
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("need at least two edge samples")
@@ -273,52 +211,10 @@ def laplace_rhs(
     value = float(vals.mean())
     B = _tail_bound(float(pts[:, -1].max()), K, s, T)
     bound = -math.expm1(-B) * value
-    if not bound <= truncation_tol:
+    if not bound <= _TRUNCATION_TOL:
         raise ValueError(
-            f"truncation bound {bound:.3g} exceeds tolerance {truncation_tol:g} "
+            f"truncation bound {bound:.3g} exceeds tolerance {_TRUNCATION_TOL:g} "
             f"at K = {K}; increase K")
     return LaplaceEstimate(value=value,
                            se=float(vals.std(ddof=1) / math.sqrt(vals.size)),
                            n=int(vals.size), truncation_bound=bound)
-
-
-def airy_zero_bound(k) -> np.ndarray:
-    """-(3 pi k / 2)^{2/3}, the decay rate claimed for the k-th point.
-
-    The source display prints exponent 3/2 but is used with 2/3 in the
-    step that consumes it; this is the 2/3 version.  Checked against
-    tabulated Airy zeros by airy_zero_bound_check rather than asserted:
-    the claim a_k <= -(3 pi k/2)^{2/3} fails against the true zeros
-    -(3 pi (4k-1)/8)^{2/3}(1+o(1)) for every finite k.
-    """
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 1):
-        raise ValueError("k must be at least 1")
-    return -(1.5 * math.pi * karr)**(2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class ZeroBoundCheck:
-    """Claimed decay bound vs tabulated Airy zeros for k = 1..k_max."""
-
-    k: np.ndarray
-    bound: np.ndarray
-    true_zero: np.ndarray
-    holds: np.ndarray  # a_k <= bound, elementwise
-
-    @property
-    def holds_anywhere(self) -> bool:
-        return bool(np.any(self.holds))
-
-
-def airy_zero_bound_check(k_max: int = 10) -> ZeroBoundCheck:
-    """Compare airy_zero_bound against the first k_max true Airy zeros."""
-    from scipy.special import ai_zeros
-
-    if not 1 <= k_max <= 1000:
-        raise ValueError("k_max must be in [1, 1000]")
-    zeros = ai_zeros(k_max)[0]
-    ks = np.arange(1, k_max + 1)
-    bound = airy_zero_bound(ks)
-    return ZeroBoundCheck(k=ks, bound=bound, true_zero=zeros,
-                          holds=zeros <= bound)

@@ -1,4 +1,4 @@
-"""Brownian bridges, exact hitting formulas, and the soft-wall Gibbs resampler.
+"""Brownian bridges, the bridge-minimum law, and the soft-wall Gibbs resampler.
 
 A single path on [a, b] pinned at (a, x) and (b, y) plays the role of the top
 curve of a line ensemble.  Conditional on a lower curve g, the curve is
@@ -11,23 +11,13 @@ bridge untouched.  Because the integrand is nonnegative, W lies in (0, 1]
 and rejection sampling against free-bridge proposals is exact (up to the
 trapezoid discretization of the integral).
 
-Closed forms used throughout:
-
-* a bridge from x to y over length L dips below m <= min(x, y) with
-  probability exp(-2 (x-m)(y-m) / L), hence below min(x,y) - s with
-  probability at most exp(-2 s^2 / L);
-* a two-sided standard Brownian motion crosses the parabola s + c t^2
-  with probability at most 3^{-1/2} exp(-8 (1-xi) sqrt(c) s^{3/2} / (3 sqrt 3))
-  for s large (depending on xi in (0,1));
-* the running minimum of a Brownian motion over [-w, w] obeys a reflection
-  bound P(min <= -m) <= P(2|X_1| + 2|X_2| >= m) with X_i iid N(0, sigma^2 w).
-
-Monte Carlo companions for the first two use the standard per-segment
-crossing correction: conditionally on the sampled grid values, each segment
-of a Brownian path crosses a linear barrier with an explicit probability,
-which removes the discretization bias of a plain grid minimum (for the
-parabola the chord barrier lies above the arc, so that estimate is a slight
-underestimate, on top of the window truncation).
+A bridge from x to y over length L dips below m <= min(x, y) with
+probability exp(-2 (x-m)(y-m) / L), hence below min(x,y) - s with
+probability at most exp(-2 s^2 / L).  Its Monte Carlo companion uses the
+standard per-segment crossing correction: conditionally on the sampled
+grid values, each segment of a Brownian path crosses a linear barrier
+with an explicit probability, which removes the discretization bias of a
+plain grid minimum.
 """
 
 from __future__ import annotations
@@ -37,22 +27,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate, special, stats
 
 __all__ = [
     "BridgeSpec",
     "GibbsSpec",
     "GibbsResult",
     "DominanceReport",
-    "hamiltonian",
-    "log_hamiltonian",
     "sample_bridge",
     "bridge_min_tail",
     "bridge_min_tail_mc",
-    "bm_parabola_crossing_bound",
-    "bm_parabola_crossing_mc",
-    "reflection_two_sided_min_bound",
-    "reflection_two_sided_min_mc",
     "gibbs_resample",
     "dominance_test",
 ]
@@ -60,31 +43,6 @@ __all__ = [
 _THIRD = 1.0 / 3.0
 _MIN_ACCEPT_RATE = 1e-4
 _MIN_ACCEPT_PROPOSALS = 10**6
-
-
-def hamiltonian(x, T: float):
-    """Soft-wall interaction e^{T^{1/3} x}; -inf maps to 0 (absent neighbor).
-
-    Accepts scalars or arrays.  Overflows to inf for large positive
-    arguments; log_hamiltonian is the overflow-safe variant.
-    """
-    if not T >= 0.0:
-        raise ValueError("T must be >= 0")
-    with np.errstate(over="ignore"):
-        out = np.exp(T**_THIRD * np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def log_hamiltonian(x, T: float):
-    """log H_T(x) = T^{1/3} x; -inf stays -inf (weight factor 1)."""
-    if not T >= 0.0:
-        raise ValueError("T must be >= 0")
-    out = T**_THIRD * np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -213,108 +171,6 @@ def bridge_min_tail_mc(
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
-
-
-def bm_parabola_crossing_bound(s: float, c: float, xi: float) -> float:
-    """Envelope 3^{-1/2} exp(-8 (1 - xi) sqrt(c) s^{3/2} / (3 sqrt 3)).
-
-    Valid for s above a xi-dependent threshold; xi = 0 is accepted as the
-    limiting (sharpest, asymptotic) envelope.
-    """
-    if not 0.0 <= xi < 1.0:
-        raise ValueError("xi must lie in [0, 1)")
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    if s < 0.0:
-        raise ValueError("s must be >= 0")
-    expo = 8.0 * (1.0 - xi) * math.sqrt(c) * s**1.5 / (3.0 * math.sqrt(3.0))
-    return math.exp(-expo) / math.sqrt(3.0)
-
-
-def bm_parabola_crossing_mc(
-    s: float,
-    c: float,
-    window: float = 4.0,
-    n: int = 10**5,
-    seed: int = 0,
-    n_steps: int = 512,
-    chunk: int = 2 * 10**4,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of P(B(t) >= s + c t^2 for some |t| <= window).
-
-    Two independent Brownian motions cover t > 0 and t < 0.  Upcrossings use
-    the per-segment chord correction; the chord sits above the parabola, so
-    the estimate is a slight underestimate, in addition to the window
-    truncation (justified when s + c*window^2 is far out of reach).
-    """
-    if not (c > 0.0 and s >= 0.0 and window > 0.0):
-        raise ValueError("need c > 0, s >= 0, window > 0")
-    dt = window / n_steps
-    t = np.linspace(0.0, window, n_steps + 1)
-    barrier = s + c * t * t
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        take = min(chunk, n - done)
-        p_side = []
-        for _ in range(2):
-            incr = rng.standard_normal((take, n_steps)) * math.sqrt(dt)
-            paths = np.concatenate(
-                [np.zeros((take, 1)), np.cumsum(incr, axis=1)], axis=1)
-            # upcrossing of an upper barrier == lower crossing for -paths
-            p_side.append(_segment_lower_crossing(-paths, -barrier, dt))
-        p = 1.0 - (1.0 - p_side[0]) * (1.0 - p_side[1])
-        total += float(np.sum(p))
-        total_sq += float(np.sum(p * p))
-        done += take
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
-
-
-def reflection_two_sided_min_bound(m: float, w: float, sigma2: float) -> float:
-    """P(2|X_1| + 2|X_2| >= m) for X_i iid N(0, sigma2 * w).
-
-    Evaluated as a one-dimensional integral of the folded-normal density
-    against the folded-normal tail.  Respects the Gaussian-tail envelope
-    2 exp(-m^2 / (32 sigma2 w)) for every m >= 0.
-    """
-    if m < 0.0:
-        raise ValueError("m must be >= 0")
-    if not (w > 0.0 and sigma2 > 0.0):
-        raise ValueError("w and sigma2 must be positive")
-    if m == 0.0:
-        return 1.0
-    tau = math.sqrt(sigma2 * w)
-    u = m / 2.0  # |X1| + |X2| >= u
-
-    def integrand(v: float) -> float:
-        dens = 2.0 / tau * math.exp(-v * v / (2.0 * tau * tau)) / math.sqrt(2.0 * math.pi)
-        return dens * math.erfc((u - v) / (tau * math.sqrt(2.0)))
-
-    inner, _ = integrate.quad(integrand, 0.0, u, epsabs=1e-13, epsrel=1e-12)
-    tail = math.erfc(u / (tau * math.sqrt(2.0)))  # |X1| >= u outright
-    return min(1.0, tail + inner)
-
-
-def reflection_two_sided_min_mc(
-    m: float, w: float, sigma2: float, n: int = 10**6, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo companion of reflection_two_sided_min_bound: (estimate, se)."""
-    rng = np.random.default_rng(seed)
-    tau = math.sqrt(sigma2 * w)
-    hits = 0
-    done = 0
-    chunk = 10**6
-    while done < n:
-        take = min(chunk, n - done)
-        xs = rng.standard_normal((take, 2)) * tau
-        hits += int(np.sum(2.0 * np.abs(xs).sum(axis=1) >= m))
-        done += take
-    p = hits / n
-    return p, math.sqrt(max(p * (1.0 - p), 1e-300) / n)
 
 
 @dataclass(frozen=True)

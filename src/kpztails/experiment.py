@@ -38,7 +38,6 @@ from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
 __all__ = [
     "ExperimentConfig",
     "preset_config",
-    "simulate_samples",
     "run_simulate",
     "run_bounds",
     "run_moments",
@@ -203,19 +202,11 @@ def _summarize(out: Path, command: str, config: ExperimentConfig, seed: int,
     return summary
 
 
-def simulate_samples(config: ExperimentConfig, seed: int, initial: str,
-                     T: Optional[float] = None, n: Optional[int] = None,
-                     extent: Optional[float] = None) -> np.ndarray:
-    """Centered/scaled one-point height samples at X = 0 for one initial."""
-    return _height_samples(config, seed, initial, initial,
-                           config.T if T is None else T,
-                           config.n_samples if n is None else n, extent)
-
-
 def _height_samples(config: ExperimentConfig, seed: int, initial: str,
                     stream: str, T: float, n: int,
                     extent: Optional[float]) -> np.ndarray:
-    """simulate_samples with the ensemble on the run's RNG stream `stream`."""
+    """Centered/scaled one-point height samples at X = 0 for one initial,
+    from an n-replica ensemble on the run's RNG stream `stream`."""
     init = _INITIAL[initial]
     res = solve_she_ensemble(
         init.data(seed), T, config.solver(extent),
@@ -225,7 +216,8 @@ def _height_samples(config: ExperimentConfig, seed: int, initial: str,
 
 
 def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
-    return {name: simulate_samples(config, seed, name)
+    return {name: _height_samples(config, seed, name, name, config.T,
+                                  config.n_samples, None)
             for name in config.initials}
 
 

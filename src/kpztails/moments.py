@@ -50,7 +50,6 @@ from scipy.special import roots_hermite
 
 __all__ = [
     "Partition",
-    "QuadConfig",
     "PartitionTerm",
     "MomentResult",
     "MarkovBound",
@@ -76,6 +75,9 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _GH_NODES_START = 40
 _GH_NODES_MAX = 320
 _GH_RTOL = 1e-12
+# partitions with more parts than this are skipped, not integrated: a
+# 4-part rule would need 320^4 = 1e10 points
+_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -154,32 +156,15 @@ def log_psi(k: int, T: float) -> float:
     return base + 0.5 * (k - 1) * math.log(math.pi) - 0.5 * k * math.log(T)
 
 
-def psi(k: int, T: float, log: bool = False) -> float:
-    """Moment envelope psi_T(k); pass log=True for large k*T to avoid overflow."""
+def psi(k: int, T: float) -> float:
+    """Moment envelope psi_T(k); log_psi avoids overflow for large k*T."""
     lp = log_psi(k, T)
-    if log:
-        return lp
     if lp > _LOG_FLOAT_MAX:
         raise OverflowError(
             f"psi({k}, {T}) exceeds float range (log value {lp:.6g}); "
-            "request log=True"
+            "use log_psi"
         )
     return math.exp(lp)
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Integration settings for moment_exact.
-
-    Partitions with more than max_dim parts are skipped and reported with
-    an upper bound on the skipped contribution.
-    """
-
-    max_dim: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_dim < 1:
-            raise ValueError("max_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -203,7 +188,6 @@ class MomentResult:
     quad_error: float
     skipped_mass_bound: float
     terms: tuple[PartitionTerm, ...]
-    config: QuadConfig
 
     @property
     def sandwich_lower_constant(self) -> float:
@@ -295,15 +279,15 @@ def _partition_integral(parts: tuple[int, ...], T: float) -> tuple[float, float]
         n, prev = 2 * n, value
 
 
-def moment_exact(k: int, T: float, config: Optional[QuadConfig] = None) -> MomentResult:
+def moment_exact(k: int, T: float) -> MomentResult:
     """E[exp(k T^{1/3} Upsilon_T(0))] by the partition sum, 1 <= k <= 6.
 
-    Partitions with more than config.max_dim parts are not integrated; each
+    Partitions with more than _MAX_DIM = 3 parts are not integrated; each
     one is reported as a skipped term together with an upper bound on its
     contribution (Gaussian integrals with the cross factor bounded by 1).
-    With the default cap of 3 dimensions, k <= 3 is summed in full and the
-    skipped mass for k in {4, 5, 6} is negligible relative to the total
-    because the dominant partition is always (k).
+    So k <= 3 is summed in full, and the skipped mass for k in {4, 5, 6}
+    is negligible relative to the total because the dominant partition is
+    always (k).
 
     Each integrated partition uses a tensor Gauss-Hermite rule with node
     doubling (40 up to 320 nodes per axis), and quad_error sums the last
@@ -318,9 +302,6 @@ def moment_exact(k: int, T: float, config: Optional[QuadConfig] = None) -> Momen
         raise ValueError(f"k must lie in [1, 6], got {k}")
     if not T > 0.0:
         raise ValueError("T must be > 0")
-    cfg = config if config is not None else QuadConfig()
-    if cfg.max_dim > 3:
-        raise ValueError("integration-dimension cap above 3 is not supported")
 
     terms: list[PartitionTerm] = []
     total = 0.0
@@ -335,7 +316,7 @@ def moment_exact(k: int, T: float, config: Optional[QuadConfig] = None) -> Momen
                 "moment_exact is limited to moderate k^3*T"
             )
         pref = math.exp(log_pref)
-        if lam.ell > cfg.max_dim:
+        if lam.ell > _MAX_DIM:
             skip_bound = math.exp(log_pref + _gaussian_log_integral(parts, T))
             terms.append(PartitionTerm(lam, 0.0, 0.0, True, skip_bound))
             total_skip += skip_bound
@@ -348,7 +329,7 @@ def moment_exact(k: int, T: float, config: Optional[QuadConfig] = None) -> Momen
 
     return MomentResult(k=k, T=T, value=total, quad_error=total_err,
                         skipped_mass_bound=total_skip,
-                        terms=tuple(terms), config=cfg)
+                        terms=tuple(terms))
 
 
 def cauchy_det_check(lam: Partition, w: np.ndarray) -> float:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -53,13 +52,9 @@ from .initial_data import (
 
 __all__ = [
     "SolverConfig",
-    "LatticeField",
     "EnsembleResult",
-    "solve_she",
     "solve_she_ensemble",
-    "cole_hopf",
     "boundary_bias_bound",
-    "edge_mass_fraction",
     "convolve_upsilon_with_f",
     "StationarityReport",
     "stationarity_report",
@@ -113,35 +108,6 @@ class SolverConfig:
     @property
     def lam(self) -> float:
         return self.dt_value / (2.0 * self.dx**2)
-
-
-@dataclass(frozen=True)
-class LatticeField:
-    """Field values on the lattice at a single time."""
-
-    dx: float
-    extent: float
-    t: float
-    x: np.ndarray
-    Z: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.t > 0.0 and not np.all(self.Z > 0.0):
-            raise FloatingPointError(
-                "numerical fault: nonpositive field value at t > 0")
-        if not np.all(np.isfinite(self.Z)):
-            raise FloatingPointError("numerical fault: non-finite field value")
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.Z, dtype=np.float64) * self.dx)
-
-
-def cole_hopf(field: LatticeField) -> np.ndarray:
-    """H = log Z elementwise; the field's own validation guarantees Z > 0."""
-    if np.any(field.Z <= 0.0):
-        raise FloatingPointError("numerical fault: nonpositive field value")
-    return np.log(field.Z, dtype=np.float64)
 
 
 def _initial_Z(initial: InitialData, T: float, cfg: SolverConfig) -> np.ndarray:
@@ -240,18 +206,15 @@ def _replica_generators(seed: int, start: int, count: int) -> list:
         (seed, start + i)))) for i in range(count)]
 
 
-def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float,
-            noise: bool = True):
+def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
     """Yield the field after each of `steps` heat-then-noise steps.
 
     Z holds one row per generator and is consumed as scratch.  A yielded
     array is overwritten two steps later, so callers copy what they keep.
-    noise=False sets sigma = 0, which makes every multiplier exactly 1.0:
-    the generators are still drawn, but the field is the plain heat flow.
     """
     dtype = Z.dtype
     lam = dtype.type(dt / (2.0 * dx**2))
-    sigma = dtype.type(math.sqrt(dt / dx) if noise else 0.0)
+    sigma = dtype.type(math.sqrt(dt / dx))
     buf = np.empty_like(Z)
     for start in range(0, steps, _WINDOW):
         w = min(_WINDOW, steps - start)
@@ -261,26 +224,6 @@ def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float,
             Z, buf = buf, Z
             Z *= mult[j]
             yield Z
-
-
-def solve_she(
-    initial: InitialData,
-    T: float,
-    cfg: SolverConfig = SolverConfig(),
-    seed: int = 0,
-    noise: bool = True,
-) -> LatticeField:
-    """Evolve one replica to time 2T and return the full field.
-
-    noise=False runs the plain heat equation (deterministic oracle mode).
-    The noisy path consumes randomness exactly like ensemble replica 0.
-    """
-    steps, dt = _time_steps(T, cfg)
-    Z0 = _initial_Z(initial, T, cfg).astype(cfg.dtype)[None, :]
-    gens = _replica_generators(seed, 0, 1)
-    Z = deque(_evolve(Z0, gens, steps, dt, cfg.dx, noise), maxlen=1).pop()
-    return LatticeField(dx=cfg.dx, extent=cfg.extent, t=2.0 * T,
-                        x=cfg.x_grid, Z=Z[0].astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -312,12 +255,32 @@ def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the worker thread count of both the
-    ensemble solver and the GUE edge sampler (airy.sample_gue_edge_many)."""
+    """Cores this process may run on: the worker thread count of
+    run_row_blocks."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
+
+
+def run_row_blocks(run_block, n_rows: int, chunk: int) -> None:
+    """Call run_block(lo, hi) over the rows [0, n_rows) on every usable core.
+
+    Each chunk of rows is split into min(usable_cores(), rows) contiguous
+    blocks that run in parallel threads, and the next chunk starts when
+    all of them are done.  run_block writes only its own rows, so the
+    worker count cannot change the result.  The ensemble solver and the
+    GUE edge sampler (airy.sample_gue_edge_many) both split their rows
+    here.
+    """
+    cores = usable_cores()
+    with ThreadPoolExecutor(cores) as pool:
+        for start in range(0, n_rows, chunk):
+            r = min(chunk, n_rows - start)
+            w = min(cores, r)
+            edges = [start + r * i // w for i in range(w + 1)]
+            # list() reads every result, re-raising a block's error
+            list(pool.map(run_block, edges[:-1], edges[1:]))
 
 
 def solve_she_ensemble(
@@ -341,9 +304,10 @@ def solve_she_ensemble(
     own seed); the dynamical noise varies.
 
     chunk bounds the replicas in flight, and so the noise window held in
-    memory, across all workers together: each chunk is split into
-    min(usable_cores(), rows) contiguous row blocks that are evolved in
-    parallel threads, and the next chunk starts when all of them are done.
+    memory, across all workers together: run_row_blocks splits each chunk
+    into min(usable_cores(), rows) contiguous row blocks that are evolved
+    in parallel threads, and the next chunk starts when all of them are
+    done.
     Each block also holds its own Box-Muller scratch of up to _NOISE_ROWS
     replicas' window (about 4 MB in float32 on a 241-site lattice), so
     memory does grow with the core count, by up to twice the noise window
@@ -378,15 +342,7 @@ def solve_she_ensemble(
             if hit is not None:
                 out[lo:hi, hit, :] = Z[:, x_idx]
 
-    cores = usable_cores()
-    with ThreadPoolExecutor(cores) as pool:
-        for start in range(0, n_replicas, chunk):
-            r = min(chunk, n_replicas - start)
-            w = min(cores, r)
-            edges = [start + r * i // w for i in range(w + 1)]
-            # list() reads every result, re-raising a block's error
-            list(pool.map(run_block, edges[:-1], edges[1:]))
-
+    run_row_blocks(run_block, n_replicas, chunk)
     return EnsembleResult(T=T, seed=seed, n_replicas=n_replicas,
                           probe_times=step_of * dt, probe_x=x_snap, Z=out)
 
@@ -408,14 +364,6 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
         return float(exit_bound)
     image = 2.0 * math.exp(-((2.0 * extent - abs(X)) ** 2 - X * X) / (2.0 * t))
     return float(min(exit_bound, image))
-
-
-def edge_mass_fraction(field: LatticeField, n_edge: int = 10) -> float:
-    """Fraction of total mass within n_edge sites of either boundary."""
-    if 2 * n_edge >= field.Z.size:
-        raise ValueError("n_edge too large for the lattice")
-    edge = float(np.sum(field.Z[:n_edge]) + np.sum(field.Z[-n_edge:]))
-    return edge / float(np.sum(field.Z))
 
 
 def convolve_upsilon_with_f(

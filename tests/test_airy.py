@@ -10,23 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import ai_zeros
 from scipy.stats import beta
 
 from kpztails import airy, she
 from kpztails.airy import (
-    AiryEdgeSample,
     LaplaceEstimate,
-    airy_zero_bound,
-    airy_zero_bound_check,
-    fermi_factor,
     laplace_lhs,
     laplace_rhs,
-    log_factor,
-    sample_gue_edge,
     sample_gue_edge_many,
 )
 
@@ -38,32 +29,18 @@ def edge_batch():
     return sample_gue_edge_many(512, 10, seed=2025, n_samples=10**4)
 
 
-class TestAiryEdgeSample:
-    def test_rejects_increasing_points(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            AiryEdgeSample(N=64, K=3, points=np.array([-3.0, -2.0, -1.0]))
-
-    def test_rejects_k_above_n(self):
-        with pytest.raises(ValueError, match="matrix size"):
-            AiryEdgeSample(N=2, K=3, points=np.array([-1.0, -2.0, -3.0]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            AiryEdgeSample(N=64, K=3, points=np.array([-1.0, -2.0]))
-
-
 class TestSampleGueEdge:
     def test_single_draw_reproducible_and_decreasing(self):
-        a = sample_gue_edge(512, 10, seed=0)
-        b = sample_gue_edge(512, 10, seed=0)
-        assert np.array_equal(a.points, b.points)
-        assert np.all(np.diff(a.points) < 0.0)
-        assert a.N == 512 and a.K == 10
+        a = sample_gue_edge_many(512, 10, seed=0, n_samples=1)
+        b = sample_gue_edge_many(512, 10, seed=0, n_samples=1)
+        assert np.array_equal(a, b)
+        assert np.all(np.diff(a[0]) < 0.0)
+        assert a.shape == (1, 10)
 
     def test_single_matches_batch_row_zero(self):
-        a = sample_gue_edge(512, 10, seed=0)
+        a = sample_gue_edge_many(512, 10, seed=0, n_samples=1)
         many = sample_gue_edge_many(512, 10, seed=0, n_samples=2)
-        assert np.array_equal(a.points, many[0])
+        assert np.array_equal(a[0], many[0])
 
     def test_prefix_stability(self):
         big = sample_gue_edge_many(128, 4, seed=9, n_samples=30)
@@ -118,11 +95,11 @@ class TestSampleGueEdge:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="64"):
-            sample_gue_edge(32, 4, seed=0)
+            sample_gue_edge_many(32, 4, seed=0, n_samples=1)
         with pytest.raises(ValueError, match="1, 16"):
-            sample_gue_edge(128, 0, seed=0)
+            sample_gue_edge_many(128, 0, seed=0, n_samples=1)
         with pytest.raises(ValueError, match="1, 16"):
-            sample_gue_edge(128, 17, seed=0)
+            sample_gue_edge_many(128, 17, seed=0, n_samples=1)
         with pytest.raises(ValueError, match="at least one"):
             sample_gue_edge_many(128, 4, seed=0, n_samples=0)
 
@@ -140,54 +117,6 @@ class TestSampleGueEdge:
         envelope = math.exp(-(4.0 / 3.0) * (1.0 - eps) * s**1.5)
         assert upper <= envelope
         assert hits <= 10  # regression: observed 1 hit at this seed
-
-
-class TestFermiFactors:
-    def test_at_the_level(self):
-        assert fermi_factor(0.7, 0.7, 3.0) == pytest.approx(0.5, rel=1e-15)
-        assert log_factor(0.7, 0.7, 3.0) == pytest.approx(math.log(2.0),
-                                                          rel=1e-15)
-
-    def test_frozen_point(self):
-        assert fermi_factor(3.0, 0.0, 1.0) == pytest.approx(
-            1.0 / (1.0 + math.e**3), rel=1e-14)
-        assert fermi_factor(3.0, 0.0, 1.0) == pytest.approx(0.04742587317756678,
-                                                            rel=1e-12)
-
-    def test_identity_on_grid(self):
-        x = np.linspace(-50.0, 50.0, 2001)
-        I = fermi_factor(x, 0.3, 2.0)
-        J = log_factor(x, 0.3, 2.0)
-        np.testing.assert_allclose(I, np.exp(-J), rtol=1e-14)
-
-    def test_extreme_arguments_stable(self):
-        with np.errstate(over="raise", invalid="raise"):
-            assert fermi_factor(1e6, 0.0, 8.0) == 0.0
-            assert fermi_factor(-1e6, 0.0, 8.0) == 1.0
-            assert log_factor(-1e6, 0.0, 8.0) == 0.0
-            big = log_factor(1e6, 0.0, 8.0)
-        assert big == pytest.approx(2.0 * 1e6, rel=1e-12)  # T^{1/3} = 2
-
-    @given(x=st.floats(-20, 20), s=st.floats(-5, 5),
-           T=st.sampled_from([0.5, 1.0, 2.0, 8.0]))
-    @settings(max_examples=150, deadline=None)
-    def test_range_and_identity(self, x, s, T):
-        I = float(fermi_factor(x, s, T))
-        J = float(log_factor(x, s, T))
-        assert 0.0 < I < 1.0 or (I in (0.0, 1.0) and abs(x - s) > 10)
-        assert I == pytest.approx(math.exp(-J), rel=1e-13)
-
-    def test_monotonicity(self):
-        x = np.linspace(-4.0, 4.0, 101)
-        I = fermi_factor(x, 0.0, 2.0)
-        assert np.all(np.diff(I) < 0.0)
-        assert fermi_factor(1.0, 2.0, 2.0) > fermi_factor(1.0, 0.0, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            fermi_factor(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            log_factor(0.0, 0.0, -1.0)
 
 
 class TestLaplaceLhs:
@@ -249,13 +178,6 @@ class TestLaplaceRhs:
         assert est.truncation_bound < 1e-5
         assert 0.0 < est.value < 1.0
 
-    def test_accepts_sample_objects(self, edge_batch):
-        objs = [AiryEdgeSample(N=512, K=10, points=row)
-                for row in edge_batch[:50]]
-        a = laplace_rhs(objs, s=0.5, T=2.0)
-        b = laplace_rhs(edge_batch[:50], s=0.5, T=2.0)
-        assert a.value == b.value and a.se == b.se
-
     def test_k_too_small_nonnegative_anchor(self, edge_batch):
         with pytest.raises(ValueError, match="increase K"):
             laplace_rhs(edge_batch[:500, :1], s=0.0, T=2.0)
@@ -269,40 +191,6 @@ class TestLaplaceRhs:
             laplace_rhs(edge_batch[:10], s=0.0, T=0.0)
         with pytest.raises(ValueError, match="at least two"):
             laplace_rhs(edge_batch[:1], s=0.0, T=2.0)
-
-
-class TestAiryZeroBound:
-    def test_frozen_values(self):
-        assert airy_zero_bound(1) == pytest.approx(-(1.5 * math.pi)**(2 / 3),
-                                                   rel=1e-14)
-        assert airy_zero_bound(1) == pytest.approx(-2.810783666401909,
-                                                   rel=1e-12)
-        assert airy_zero_bound(10) == pytest.approx(-13.046502079672285,
-                                                    rel=1e-12)
-
-    def test_monotone_decreasing(self):
-        vals = airy_zero_bound(np.arange(1, 30))
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            airy_zero_bound(0)
-
-    def test_claim_fails_against_tabulated_zeros(self):
-        # the claimed decay a_k <= -(3 pi k/2)^{2/3} never holds: the true
-        # zeros sit at -(3 pi (4k-1)/8)^{2/3}(1+o(1)), strictly above it
-        chk = airy_zero_bound_check(50)
-        assert not chk.holds_anywhere
-        assert chk.true_zero[0] == pytest.approx(-2.33810741, abs=1e-7)
-        assert np.all(chk.true_zero > chk.bound)
-
-    def test_check_consistent_with_ai_zeros(self):
-        chk = airy_zero_bound_check(10)
-        np.testing.assert_allclose(chk.true_zero, ai_zeros(10)[0], rtol=1e-12)
-        np.testing.assert_allclose(chk.bound, airy_zero_bound(chk.k),
-                                   rtol=1e-15)
-        with pytest.raises(ValueError):
-            airy_zero_bound_check(0)
 
 
 class TestLaplaceEstimateShape:

@@ -12,58 +12,12 @@ from kpztails.bridges import (
     BridgeSpec,
     GibbsSpec,
     _gibbs_weights,
-    bm_parabola_crossing_bound,
-    bm_parabola_crossing_mc,
     bridge_min_tail,
     bridge_min_tail_mc,
     dominance_test,
     gibbs_resample,
-    hamiltonian,
-    log_hamiltonian,
-    reflection_two_sided_min_bound,
-    reflection_two_sided_min_mc,
     sample_bridge,
 )
-
-
-class TestHamiltonian:
-    def test_zero_argument(self):
-        assert hamiltonian(0.0, 1.0) == 1.0
-        assert hamiltonian(0.0, 17.3) == 1.0
-
-    def test_reference_value(self):
-        # T = 8 gives T^{1/3} = 2
-        assert hamiltonian(1.0, 8.0) == pytest.approx(math.exp(2.0), rel=1e-14)
-
-    def test_absent_neighbor_sentinel(self):
-        assert hamiltonian(-math.inf, 2.0) == 0.0
-        assert log_hamiltonian(-math.inf, 2.0) == -math.inf
-
-    def test_vectorized(self):
-        x = np.array([-math.inf, 0.0, 1.0])
-        out = hamiltonian(x, 8.0)
-        assert out.shape == (3,)
-        assert out[0] == 0.0 and out[1] == 1.0
-        assert out[2] == pytest.approx(math.exp(2.0))
-
-    def test_log_variant(self):
-        assert log_hamiltonian(1.0, 8.0) == pytest.approx(2.0, rel=1e-14)
-        assert log_hamiltonian(-3.0, 1.0) == pytest.approx(-3.0, rel=1e-14)
-
-    def test_overflow_goes_to_inf_without_raising(self):
-        assert hamiltonian(1000.0, 8.0) == math.inf
-        assert log_hamiltonian(1000.0, 8.0) == 2000.0
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian(0.0, -1.0)
-        with pytest.raises(ValueError):
-            log_hamiltonian(0.0, -1.0)
-
-    @given(x=st.floats(-50.0, 50.0), T=st.floats(0.1, 50.0))
-    def test_log_consistency(self, x, T):
-        assert math.log(hamiltonian(x, T)) == pytest.approx(
-            log_hamiltonian(x, T), rel=1e-12, abs=1e-12)
 
 
 class TestBridgeSpec:
@@ -201,89 +155,6 @@ class TestBridgeMinTailMC:
     def test_validation(self):
         with pytest.raises(ValueError):
             bridge_min_tail_mc(0.0, 0.0, 1.0, -1.0, n=10)
-
-
-class TestParabolaCrossing:
-    def test_reference_value(self):
-        # 8/(3 sqrt 3) = 1.53960; envelope at its xi -> 0 limit
-        val = bm_parabola_crossing_bound(1.0, 1.0, 0.0)
-        assert val == pytest.approx(0.12383, abs=2e-5)
-        assert val == pytest.approx(math.exp(-8.0 / (3.0 * math.sqrt(3.0)))
-                                    / math.sqrt(3.0), rel=1e-14)
-
-    def test_monotonicity(self):
-        assert bm_parabola_crossing_bound(2.0, 1.0, 0.1) < bm_parabola_crossing_bound(
-            1.0, 1.0, 0.1)
-        assert bm_parabola_crossing_bound(1.0, 2.0, 0.1) < bm_parabola_crossing_bound(
-            1.0, 1.0, 0.1)
-        # xi slackens the exponent
-        assert bm_parabola_crossing_bound(1.0, 1.0, 0.5) > bm_parabola_crossing_bound(
-            1.0, 1.0, 0.1)
-
-    def test_large_s_vanishes(self):
-        assert bm_parabola_crossing_bound(200.0, 1.0, 0.1) < 1e-300
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bm_parabola_crossing_bound(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            bm_parabola_crossing_bound(1.0, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            bm_parabola_crossing_bound(1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            bm_parabola_crossing_bound(-1.0, 1.0, 0.1)
-
-    def test_mc_against_envelope_regimes(self):
-        # The envelope is asymptotic in s: it only holds above a threshold
-        # s0 that grows as xi shrinks.  At s = 2 the crossing probability is
-        # 0.0165(3), ABOVE the xi = 0.1 envelope 0.01146 (s0(0.1) > 2), yet
-        # far below the xi = 0.5 envelope 0.0654.
-        mc, se = bm_parabola_crossing_mc(2.0, 1.0, window=4.0, n=6 * 10**4,
-                                         seed=7, n_steps=256)
-        tight = bm_parabola_crossing_bound(2.0, 1.0, 0.1)
-        loose = bm_parabola_crossing_bound(2.0, 1.0, 0.5)
-        assert mc - 3 * se > tight
-        assert mc + 3 * se < loose
-        assert mc == pytest.approx(0.0165, abs=3 * se + 5e-4)
-
-    def test_mc_validation(self):
-        with pytest.raises(ValueError):
-            bm_parabola_crossing_mc(1.0, -1.0, n=10)
-
-
-class TestReflectionBound:
-    def test_zero_threshold(self):
-        assert reflection_two_sided_min_bound(0.0, 1.0, 1.0) == 1.0
-
-    def test_reference_value(self):
-        # frozen by quadrature, cross-checked by MC below
-        val = reflection_two_sided_min_bound(1.0, 1.0, 2.0 ** (1.0 / 3.0))
-        assert val == pytest.approx(0.9388806102, abs=1e-9)
-
-    def test_mc_agreement(self):
-        sigma2 = 2.0 ** (1.0 / 3.0)
-        val = reflection_two_sided_min_bound(1.0, 1.0, sigma2)
-        mc, se = reflection_two_sided_min_mc(1.0, 1.0, sigma2, n=10**6, seed=5)
-        assert abs(mc - val) <= 3 * se
-
-    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0, 8.0])
-    def test_gaussian_envelope(self, m):
-        sigma2 = 2.0 ** (1.0 / 3.0)
-        val = reflection_two_sided_min_bound(m, 1.0, sigma2)
-        assert val <= 2.0 * math.exp(-m * m / (32.0 * sigma2))
-
-    def test_monotone_in_threshold(self):
-        vals = [reflection_two_sided_min_bound(m, 1.0, 1.0)
-                for m in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            reflection_two_sided_min_bound(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reflection_two_sided_min_bound(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            reflection_two_sided_min_bound(1.0, 1.0, -2.0)
 
 
 class TestGibbsSpec:
