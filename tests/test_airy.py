@@ -119,6 +119,53 @@ class TestSampleGueEdge:
         assert hits <= 10  # regression: observed 1 hit at this seed
 
 
+class TestFermiFactors:
+    """The Fermi factor I_s(x) = 1/(1 + e^{T^{1/3}(x - s)}) as laplace_rhs
+    forms it, in log space as e^{-J_s(x)}.  Two identical K = 1 rows at x,
+    placed far enough below zero that the truncation bound vanishes, make
+    the estimate equal to the single factor."""
+
+    @staticmethod
+    def _factor(x, s, T):
+        return laplace_rhs(np.full((2, 1), x), s=s, T=T).value
+
+    def test_at_the_level(self):
+        I = self._factor(-20.0, -20.0, 3.0)
+        assert I == pytest.approx(0.5, rel=1e-15)
+        assert -math.log(I) == pytest.approx(math.log(2.0), rel=1e-15)
+
+    def test_frozen_point(self):
+        assert self._factor(-17.0, -20.0, 1.0) == pytest.approx(
+            1.0 / (1.0 + math.e**3), rel=1e-14)
+        assert self._factor(-17.0, -20.0, 1.0) == pytest.approx(
+            0.04742587317756678, rel=1e-12)
+
+    def test_identity_on_grid(self):
+        s, T = -200.0, 2.0
+        x = s + np.linspace(-50.0, 50.0, 2001)
+        I = np.array([self._factor(xi, s, T) for xi in x])
+        direct = 1.0 / (1.0 + np.exp(T ** (1.0 / 3.0) * (x - s)))
+        np.testing.assert_allclose(I, direct, rtol=1e-14)
+
+    def test_extreme_arguments_stable(self):
+        with np.errstate(over="raise", invalid="raise"):
+            assert self._factor(-1.0, -1e6 - 1.0, 8.0) == 0.0
+            assert self._factor(-1e6, 0.0, 8.0) == 1.0
+
+    def test_monotonicity(self):
+        s = -30.0
+        I = np.array([self._factor(s + d, s, 2.0)
+                      for d in np.linspace(-4.0, 4.0, 101)])
+        assert np.all(np.diff(I) < 0.0)
+        assert self._factor(-29.0, -28.0, 2.0) > self._factor(-29.0, -30.0, 2.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="positive"):
+            self._factor(-1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            self._factor(-1.0, 0.0, -1.0)
+
+
 class TestLaplaceLhs:
     def test_constant_at_level(self):
         est = laplace_lhs(np.full(100, 0.7), s=0.7, T=2.0)

@@ -20,6 +20,55 @@ from kpztails.bridges import (
 )
 
 
+class TestHamiltonian:
+    """The soft-wall interaction H_T(x) = e^{T^{1/3} x} as _gibbs_weights
+    forms it.  On a two-point grid of length 1 a constant gap x = g - L
+    integrates exactly, so the weight is W = exp(-H_T(x))."""
+
+    @staticmethod
+    def _weights(gaps, T, lower_curve=0.0):
+        # paths sit at -gap, so g - L = gap wherever the wall is at 0
+        bridge = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1.0)
+        spec = GibbsSpec(bridge=bridge, T=T, lower_curve=lower_curve)
+        gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
+        return _gibbs_weights(spec, -np.repeat(gaps[:, None], 2, axis=1))
+
+    def test_zero_argument(self):
+        assert self._weights(0.0, 1.0)[0] == math.exp(-1.0)
+        assert self._weights(0.0, 17.3)[0] == math.exp(-1.0)
+
+    def test_reference_value(self):
+        # T = 8 gives T^{1/3} = 2
+        assert -math.log(self._weights(1.0, 8.0)[0]) == pytest.approx(
+            math.exp(2.0), rel=1e-14)
+
+    def test_absent_neighbor_sentinel(self):
+        assert self._weights(0.0, 2.0, lower_curve=None)[0] == 1.0
+        sentinel = np.full(2, -math.inf)
+        assert self._weights(0.0, 2.0, lower_curve=sentinel)[0] == 1.0
+
+    def test_vectorized(self):
+        out = self._weights([-math.inf, 0.0, 1.0], 8.0)
+        assert out.shape == (3,)
+        assert out[0] == 1.0 and out[1] == math.exp(-1.0)
+        assert out[2] == pytest.approx(math.exp(-math.exp(2.0)))
+
+    def test_log_variant(self):
+        # log H_T(x) = T^{1/3} x
+        assert math.log(-math.log(self._weights(1.0, 8.0)[0])) == pytest.approx(
+            2.0, rel=1e-14)
+        assert math.log(-math.log(self._weights(-3.0, 1.0)[0])) == pytest.approx(
+            -3.0, rel=1e-14)
+
+    def test_overflow_goes_to_inf_without_raising(self):
+        with np.errstate(over="raise", invalid="raise"):
+            assert self._weights(1000.0, 8.0)[0] == 0.0
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(ValueError):
+            self._weights(0.0, -1.0)
+
+
 class TestBridgeSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
