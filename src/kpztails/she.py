@@ -36,13 +36,13 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .initial_data import (
-    Flat,
     InitialData,
     NarrowWedge,
     Profile,
@@ -254,13 +254,48 @@ def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
     return dx * np.round(np.asarray(values, dtype=float) / dx)
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: the worker thread count of
-    run_row_blocks."""
+# cgroup v2 holds the CPU quota in <root>/cpu.max, v1 in
+# <root>/cpu/cpu.cfs_quota_us and cpu.cfs_period_us
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _quota_cores() -> Optional[int]:
+    """ceil(quota / period) of the cgroup CPU quota, None without a quota.
+
+    A quota of "max" or -1, or a file that cannot be read or parsed,
+    means no quota.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        fields = (_CGROUP / "cpu.max").read_text().split()
+    except OSError:
+        v1 = _CGROUP / "cpu"
+        try:
+            fields = [(v1 / "cpu.cfs_quota_us").read_text(),
+                      (v1 / "cpu.cfs_period_us").read_text()]
+        except OSError:
+            return None
+    try:
+        quota, period = int(fields[0]), int(fields[1])
+    except (IndexError, ValueError):
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
+def usable_cores() -> int:
+    """Cores this process may use: the worker thread count of run_row_blocks.
+
+    The smaller of the affinity mask's size and the cgroup CPU quota
+    rounded up to whole cores, so a container limited to 1.5 CPUs on a
+    64-core host runs 2 workers, not 64.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    quota = _quota_cores()
+    return cores if quota is None else min(cores, quota)
 
 
 def run_row_blocks(run_block, n_rows: int, chunk: int) -> None:
@@ -359,7 +394,7 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
         raise ValueError("extent and t must be positive")
     if abs(X) >= extent:
         raise ValueError("readout outside the domain")
-    exit_bound = 2.0 * stats.norm.sf((extent - abs(X)) / math.sqrt(t))
+    exit_bound = 2.0 * ndtr((abs(X) - extent) / math.sqrt(t))
     if not delta_init:
         return float(exit_bound)
     image = 2.0 * math.exp(-((2.0 * extent - abs(X)) ** 2 - X * X) / (2.0 * t))
@@ -426,6 +461,9 @@ class StationarityReport:
 
 def stationarity_report(samples: dict) -> StationarityReport:
     """Pairwise KS tests across locations; input maps y -> 1-d sample array."""
+    # imported here so that importing kpztails does not load scipy.stats
+    from scipy.stats import ks_2samp
+
     if len(samples) < 2:
         raise ValueError("need samples at two or more locations")
     for y, arr in samples.items():
@@ -435,7 +473,7 @@ def stationarity_report(samples: dict) -> StationarityReport:
     pairs, ks_stats, pvals = [], [], []
     for i in range(len(locs)):
         for j in range(i + 1, len(locs)):
-            res = stats.ks_2samp(samples[locs[i]], samples[locs[j]])
+            res = ks_2samp(samples[locs[i]], samples[locs[j]])
             pairs.append((locs[i], locs[j]))
             ks_stats.append(res.statistic)
             pvals.append(res.pvalue)

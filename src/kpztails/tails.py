@@ -17,12 +17,11 @@ as VIOLATION even in that regime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .bounds import BoundQuery, evaluate_query
 
@@ -57,17 +56,20 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01):
     """Exact binomial (1 - alpha) interval for a proportion.
 
     "Exact" names the Clopper-Pearson method (beta quantiles, coverage at
-    least 1 - alpha); the endpoints are as accurate as
-    ``scipy.stats.beta.ppf`` (a few ULP), not bit-reproducible across scipy
-    versions.
+    least 1 - alpha).  The quantiles come from ``scipy.special.betaincinv``,
+    the routine behind ``scipy.stats.beta.ppf``, called directly so that
+    importing this module does not load ``scipy.stats``; the endpoints are
+    as accurate as that routine (a few ULP), not bit-reproducible across
+    scipy versions.
     """
     if not 0 <= hits <= n:
         raise ValueError("hits must lie in [0, n]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2.0, hits, n - hits + 1))
-    hi = 1.0 if hits == n else float(beta.ppf(1.0 - alpha / 2.0, hits + 1,
-                                              n - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1,
+                                                alpha / 2.0))
+    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits,
+                                                1.0 - alpha / 2.0))
     return lo, hi
 
 

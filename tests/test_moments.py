@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpztails.moments import (
-    MarkovBound,
     Partition,
     cauchy_det_check,
     enumerate_partitions,

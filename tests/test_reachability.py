@@ -1,14 +1,17 @@
 """Every top-level definition of the library is reached by a run, a claim
-or the benchmark, or is listed as pending with the ROADMAP direction that
-will wire it.
+or the benchmark, or is pending with the ROADMAP direction that will wire
+it.
 
-A top-level function or class in src/kpztails/*.py counts as reached when
-its name is referenced (as a name, an attribute or a string constant) in
-another source module, in its own module outside its own body and
-__all__, in perfbench/*.py, or in tests/test_acceptance.py.  Imports and
-re-exports are not references.  Code that only its own unit tests call is
-therefore unreached: it either gets wired into a check that can fail, or
-it is deleted together with its tests.
+Reachability is a closure over names.  The roots are every file in
+perfbench/, tests/test_acceptance.py, the module-level code of each source
+module (outside its definitions and __all__) and cli.main, the kpz-tails
+entry point.  A top-level function or class in src/kpztails/*.py is
+reached when its name is referenced (as a name, an attribute or a string
+constant) by a root or by a reached definition.  Imports and re-exports
+are not references.  Code that only its own unit tests call, or that only
+other unreached code calls, is therefore unreached: it either gets wired
+into a check that can fail, or it is deleted together with its tests.  A
+definition that only PENDING items reach is pending with them.
 """
 
 import ast
@@ -26,6 +29,11 @@ PENDING = {
     "paley_zygmund_lower": "direction 5",
     "boundary_bias_bound": "direction 2",
 }
+
+# cli.main, the kpz-tails entry point in pyproject.toml
+ENTRY = "main"
+
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _parse(path: Path) -> ast.Module:
@@ -52,34 +60,38 @@ def _references(nodes) -> set:
     return refs
 
 
-def _definitions(tree: ast.Module) -> dict:
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
+def _closure(names, definitions: dict) -> set:
+    """The definitions that `names` reach, directly or through the bodies
+    of definitions they reach."""
+    reached = set()
+    todo = set(names) & definitions.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (_references([definitions[name]]) & definitions.keys()) - reached
+    return reached
 
 
-def unreached() -> set:
-    modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    outside = [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    outside.append(_parse(ROOT / "tests" / "test_acceptance.py"))
-    external = _references(outside)
-    refs = {path: _references([tree]) for path, tree in modules.items()}
-    missing = set()
-    for path, tree in modules.items():
-        others = set().union(*(r for p, r in refs.items() if p != path))
-        for name, node in _definitions(tree).items():
-            own = _references(n for n in tree.body
-                              if n is not node and not _is_all(n))
-            if name not in others | own | external:
-                missing.add(name)
-    return missing
+def reachability() -> tuple:
+    """(unreached definitions, definitions that PENDING items reach)."""
+    definitions, roots = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, _DEFINITION):
+                definitions[node.name] = node
+            elif not _is_all(node):
+                roots.append(node)
+    roots += [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    roots.append(_parse(ROOT / "tests" / "test_acceptance.py"))
+    reached = _closure(_references(roots) | {ENTRY}, definitions)
+    return set(definitions) - reached, _closure(PENDING, definitions)
 
 
 def test_library_definitions_are_reached_or_pending():
-    found = unreached()
-    assert not found - set(PENDING), (
-        f"reached by nothing but unit tests: {sorted(found - set(PENDING))}; "
+    unreached, pending = reachability()
+    assert not unreached - pending, (
+        f"reached by nothing but unit tests: {sorted(unreached - pending)}; "
         "wire each into a check that can fail, or delete it with its tests")
-    assert not set(PENDING) - found, (
-        f"pending but now reached (or gone): {sorted(set(PENDING) - found)}; "
+    assert not set(PENDING) - unreached, (
+        f"pending but now reached (or gone): {sorted(set(PENDING) - unreached)}; "
         "take them off PENDING")

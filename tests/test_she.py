@@ -9,12 +9,14 @@ negligible and documented where they are not.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from kpztails.initial_data import (
     BrownianTwoSided,
@@ -343,12 +345,58 @@ class TestEnsemble:
         assert np.all(r.Z > 0.0)
 
 
+class TestUsableCores:
+    # a fake cgroup root under an 8-core affinity mask
+    @pytest.mark.parametrize("files,expected", [
+        ({}, 8),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "400000 100000\n"}, 4),
+        ({"cpu.max": "1600000 100000\n"}, 8),
+        ({"cpu.max": "max 100000\n"}, 8),
+        ({"cpu.max": ""}, 8),
+        ({"cpu/cpu.cfs_quota_us": "50000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "250000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+        ({"cpu/cpu.cfs_quota_us": "50000\n"}, 8),
+        ({"cpu/cpu.cfs_quota_us": "garbage\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ])
+    def test_quota_caps_affinity(self, tmp_path, monkeypatch, files, expected):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(she, "_CGROUP", tmp_path)
+        monkeypatch.setattr(she.os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        assert she.usable_cores() == expected
+
+    def test_this_process(self):
+        assert 1 <= she.usable_cores() <= (os.cpu_count() or 1)
+
+
 class TestBoundaryBias:
     def test_frozen_values(self):
         assert boundary_bias_bound(3.0, 2.0, delta_init=True) == pytest.approx(
             2.0 * math.exp(-9.0), rel=1e-12)
         assert boundary_bias_bound(3.0, 2.0) == pytest.approx(
             0.03389485352468927, rel=1e-9)
+
+    def test_bitwise_against_norm_sf_and_image(self):
+        # ndtr(-x) is what stats.norm.sf(x) computes, called directly to
+        # keep scipy.stats out of the package import; the grid takes both
+        # sides of the min
+        for L, t, X in [(0.5, 8.0, 0.0), (0.5, 0.1, 0.2), (2.0, 1.0, 0.0),
+                        (3.0, 2.0, -1.5), (8.0, 2.0, 0.0), (8.0, 8.0, 7.9),
+                        (6.0, 1.0, 0.5), (12.0, 1.0, 0.0)]:
+            exit_bound = 2.0 * stats.norm.sf((L - abs(X)) / math.sqrt(t))
+            image = 2.0 * math.exp(-((2.0 * L - abs(X)) ** 2 - X * X)
+                                   / (2.0 * t))
+            assert boundary_bias_bound(L, t, X) == exit_bound, (L, t, X)
+            assert boundary_bias_bound(L, t, X, delta_init=True) == min(
+                exit_bound, image), (L, t, X)
 
     def test_delta_bound_never_looser_than_exit_bound(self):
         for L, t in [(2.0, 1.0), (3.0, 2.0), (4.0, 4.0)]:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from kpztails.bounds import BoundQuery, evaluate_query
+from kpztails.bounds import BoundQuery
 from kpztails.tails import (CONSISTENT, MIN_EXPECTED_HITS, THEOREM_TAIL_SIDE,
-                            UNTESTABLE, VIOLATION, CellVerdict, TailEstimate,
+                            UNTESTABLE, VIOLATION, TailEstimate,
                             bound_violation_report, clopper_pearson, mc_tail)
 
 
@@ -66,6 +67,22 @@ class TestClopperPearson:
                                    (("0.995", 51, 50), self.HALF_HITS_HI)]:
                 root = quantile(mpmath.mpf(p), a, b)
                 assert abs(root - mpmath.mpf(ref)) <= 1e-25 * root
+
+    def test_bitwise_equal_to_beta_ppf(self):
+        # betaincinv is the routine behind stats.beta.ppf, called directly
+        # to keep scipy.stats out of the package import; the grid reaches
+        # the deep-tail cells (a few hits in 10^5) that verdicts read
+        for n in (1, 2, 7, 100, 1000, 10**4, 10**5):
+            for hits in sorted({0, 1, 2, 3, 5, 10, 20, n // 2, n - 1, n}):
+                if not 0 <= hits <= n:
+                    continue
+                for alpha in (0.5, 0.05, 0.01, 1e-3, 1e-6):
+                    ref_lo = (0.0 if hits == 0 else float(stats.beta.ppf(
+                        alpha / 2.0, hits, n - hits + 1)))
+                    ref_hi = (1.0 if hits == n else float(stats.beta.ppf(
+                        1.0 - alpha / 2.0, hits + 1, n - hits)))
+                    assert clopper_pearson(hits, n, alpha) == (
+                        ref_lo, ref_hi), (hits, n, alpha)
 
     def test_symmetry(self):
         lo1, hi1 = clopper_pearson(30, 100)
