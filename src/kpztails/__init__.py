@@ -9,10 +9,10 @@ identity.  The `kpz-tails` command line runs preset experiment bundles.
 
 from .airy import (LaplaceEstimate, laplace_lhs, laplace_rhs,
                    sample_gue_edge_many)
-from .bounds import (BoundQuery, BoundResult, brownian_lower_tail,
-                     brownian_upper_tail, classify_regime, evaluate_query,
-                     general_upper_tail, lower_tail_upper_general,
-                     nw_lower_tail, nw_upper_laplace_bounds, nw_upper_tail)
+from .bounds import (BoundQuery, BoundResult, brownian_upper_tail,
+                     classify_regime, evaluate_query, general_upper_tail,
+                     lower_tail_upper_general, nw_lower_tail,
+                     nw_upper_laplace_bounds, nw_upper_tail)
 from .bridges import (BridgeSpec, DominanceReport, GibbsResult, GibbsSpec,
                       bridge_min_tail, bridge_min_tail_mc, dominance_test,
                       gibbs_resample, sample_bridge)
@@ -34,7 +34,6 @@ from .she import (EnsembleResult, FKGReport, SolverConfig,
                   convolve_upsilon_with_f, fkg_joint_vs_product,
                   snap_to_grid, solve_she_ensemble, stationarity_report)
 from .tails import (CONSISTENT, UNTESTABLE, VIOLATION, CellVerdict,
-                    TailEstimate, bound_violation_report, clopper_pearson,
-                    mc_tail)
+                    bound_violation_report, clopper_pearson)
 
 __version__ = "0.1.0"

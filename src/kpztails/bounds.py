@@ -9,8 +9,11 @@ envelope values may exceed 1; clamping is the caller's job.
 
 Conventions
 -----------
-Lower-tail envelopes bound P(height <= -s); upper-tail envelopes bound
-P(height >= s).  Two-sided statements produce a (value_lower, value) pair
+_FAMILIES is the theorem table: for each family, in the order of
+BoundQuery.THEOREMS, the tail of the scaled height it bounds and the
+envelope call that evaluate_query makes.  Lower-tail envelopes bound
+P(height <= -s); upper-tail envelopes bound P(height >= s); the
+Laplace-route family bounds no tail probability.  Two-sided statements produce a (value_lower, value) pair
 with e^(-c1 s^(3/2)) <= P <= e^(-c2 s^(3/2)), c1 > c2.  The coefficient
 regimes i/ii/iii split on how s compares to T^(2/3); they are only asserted
 for T > pi, and below that the result carries regime "none" with a vacuous
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
+from typing import Callable, Optional
 
 NOTE_CONSTANTS = "asymptotic statement; absolute constants not specified"
 NOTE_SMALL_T = ("coefficient regimes require T > pi; only qualitative "
@@ -37,29 +40,6 @@ LOWER_TAIL_REGIMES = ("I_low", "II_low", "III_low")
 # of the upper-tail coefficient statements
 DEFAULT_CONSTANTS = MappingProxyType({"K": 1.0, "K1": 1.0, "K2": 1.0,
                                       "s0": 0.0})
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Envelope request: theorem family, tail location, and parameters."""
-
-    theorem: str
-    s: float
-    T: float
-    eps: float = 0.1
-    delta: float = 0.1
-    mu: float = 0.1
-    zeta: float = 0.1
-    constants: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
-
-    THEOREMS = ("general_lower", "nw_lower", "nw_upper", "general_upper",
-                "brownian_lower", "brownian_upper", "nw_upper_laplace")
-
-    def __post_init__(self) -> None:
-        if self.theorem not in self.THEOREMS:
-            raise ValueError(f"unknown theorem family {self.theorem!r}")
-        if self.s <= 0 or self.T <= 0:
-            raise ValueError("s and T must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,13 +103,6 @@ def lower_tail_upper_general(s: float, T: float, eps: float, delta: float,
     return BoundResult(value=sum(terms), regime=regime)
 
 
-def brownian_lower_tail(s: float, T: float, eps: float, delta: float,
-                        K: float = DEFAULT_CONSTANTS["K"]) -> BoundResult:
-    """Lower-tail envelope for Brownian initial data; identical term-for-term
-    to the general-initial-data envelope."""
-    return lower_tail_upper_general(s, T, eps, delta, K)
-
-
 def nw_lower_tail(s: float, T: float, eps: float, delta: float,
                   K1: float = DEFAULT_CONSTANTS["K1"],
                   K2: float = DEFAULT_CONSTANTS["K2"]):
@@ -180,6 +153,13 @@ def classify_regime(s: float, T: float, eps: float, theorem: str,
     return "iii"
 
 
+def _vacuous(T: float) -> BoundResult:
+    """The regime "none" result: no coefficient statement applies."""
+    note = NOTE_SMALL_T if T <= math.pi else NOTE_BELOW_S0
+    return BoundResult(value=math.inf, regime="none", value_lower=0.0,
+                       validity_note=f"{NOTE_CONSTANTS}; {note}")
+
+
 def nw_upper_tail(s: float, T: float, eps: float,
                   s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Narrow-wedge upper tail: e^(-c1 s^(3/2)) <= P(upsilon(0) >= s)
@@ -192,9 +172,7 @@ def nw_upper_tail(s: float, T: float, eps: float,
     _check_range("eps", eps, 0.0, 0.5)
     regime = classify_regime(s, T, eps, "nw_upper", s0=s0)
     if regime == "none":
-        note = NOTE_SMALL_T if T <= math.pi else NOTE_BELOW_S0
-        return BoundResult(value=math.inf, regime="none", value_lower=0.0,
-                           validity_note=f"{NOTE_CONSTANTS}; {note}")
+        return _vacuous(T)
     if regime == "i":
         c1, c2 = (4.0 / 3.0) * (1.0 + eps), (4.0 / 3.0) * (1.0 - eps)
     elif regime == "ii":
@@ -218,9 +196,7 @@ def general_upper_tail(s: float, T: float, eps: float, mu: float,
     _check_range("mu", mu, 0.0, 0.5)
     regime = classify_regime(s, T, eps, "general_upper", mu=mu, s0=s0)
     if regime == "none":
-        note = NOTE_SMALL_T if T <= math.pi else NOTE_BELOW_S0
-        return BoundResult(value=math.inf, regime="none", value_lower=0.0,
-                           validity_note=f"{NOTE_CONSTANTS}; {note}")
+        return _vacuous(T)
     root2_3 = math.sqrt(2.0) / 3.0
     if regime == "i":
         c1 = (8.0 / 3.0) * (1.0 + mu) * (1.0 + eps)
@@ -272,31 +248,68 @@ def nw_upper_laplace_bounds(s: float, T: float, eps: float, zeta: float):
             BoundResult(value=lower_side, regime="none"))
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One theorem family: the tail it bounds and its envelope rows."""
+
+    side: Optional[str]  # "lower", "upper", or None (no tail probability)
+    envelope: Callable  # (query, constants) -> [(label, BoundResult)]
+
+
+# the theorem table; its order is the row order of bounds.csv
+_FAMILIES = {
+    "general_lower": _Family("lower", lambda q, c: [
+        ("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, c["K"]))]),
+    "nw_lower": _Family("lower", lambda q, c: list(zip(
+        ("upper", "lower"),
+        nw_lower_tail(q.s, q.T, q.eps, q.delta, c["K1"], c["K2"])))),
+    "nw_upper": _Family("upper", lambda q, c: [
+        ("two_sided", nw_upper_tail(q.s, q.T, q.eps, s0=c["s0"]))]),
+    "general_upper": _Family("upper", lambda q, c: [
+        ("two_sided", general_upper_tail(q.s, q.T, q.eps, q.mu, s0=c["s0"]))]),
+    # term for term the general-data envelope
+    "brownian_lower": _Family("lower", lambda q, c: [
+        ("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, c["K"]))]),
+    "brownian_upper": _Family("upper", lambda q, c: [
+        ("two_sided", brownian_upper_tail(q.s, q.T, q.eps, q.mu, s0=c["s0"]))]),
+    "nw_upper_laplace": _Family(None, lambda q, c: list(zip(
+        ("upper", "lower"), nw_upper_laplace_bounds(q.s, q.T, q.eps, q.zeta)))),
+}
+
+
+@dataclass(frozen=True)
+class BoundQuery:
+    """Envelope request: theorem family, tail location, and parameters."""
+
+    theorem: str
+    s: float
+    T: float
+    eps: float = 0.1
+    delta: float = 0.1
+    mu: float = 0.1
+    zeta: float = 0.1
+    constants: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
+
+    THEOREMS = tuple(_FAMILIES)
+
+    def __post_init__(self) -> None:
+        if self.theorem not in self.THEOREMS:
+            raise ValueError(f"unknown theorem family {self.theorem!r}")
+        if self.s <= 0 or self.T <= 0:
+            raise ValueError("s and T must be positive")
+
+    @property
+    def side(self) -> Optional[str]:
+        """The tail of the scaled height the family bounds, if any."""
+        return _FAMILIES[self.theorem].side
+
+
 def evaluate_query(q: BoundQuery):
-    """Dispatch a BoundQuery to its envelope function.
+    """Evaluate a BoundQuery's envelopes through the theorem table.
 
     Returns a list of (label, BoundResult) rows, one per envelope the theorem
-    family provides; labels are "upper" (bound on the tail probability) and
+    family provides; labels are "upper" (bound on the tail probability),
     "lower" (lower bound on the same probability, or the lower-side quantity
-    for the Laplace route).
+    for the Laplace route) and "two_sided" (both, as value and value_lower).
     """
-    c = {**DEFAULT_CONSTANTS, **q.constants}
-    K, K1, K2, s0 = c["K"], c["K1"], c["K2"], c["s0"]
-    if q.theorem == "general_lower":
-        return [("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, K))]
-    if q.theorem == "brownian_lower":
-        return [("upper", brownian_lower_tail(q.s, q.T, q.eps, q.delta, K))]
-    if q.theorem == "nw_lower":
-        up, lo = nw_lower_tail(q.s, q.T, q.eps, q.delta, K1, K2)
-        return [("upper", up), ("lower", lo)]
-    if q.theorem == "nw_upper":
-        r = nw_upper_tail(q.s, q.T, q.eps, s0=s0)
-        return [("two_sided", r)]
-    if q.theorem == "general_upper":
-        r = general_upper_tail(q.s, q.T, q.eps, q.mu, s0=s0)
-        return [("two_sided", r)]
-    if q.theorem == "brownian_upper":
-        r = brownian_upper_tail(q.s, q.T, q.eps, q.mu, s0=s0)
-        return [("two_sided", r)]
-    up, lo = nw_upper_laplace_bounds(q.s, q.T, q.eps, q.zeta)
-    return [("upper", up), ("lower", lo)]
+    return _FAMILIES[q.theorem].envelope(q, {**DEFAULT_CONSTANTS, **q.constants})

@@ -43,6 +43,11 @@ __all__ = [
 _THIRD = 1.0 / 3.0
 _MIN_ACCEPT_RATE = 1e-4
 _MIN_ACCEPT_PROPOSALS = 10**6
+# paths per batch of bridge_min_tail_mc and, at most, of gibbs_resample
+_MC_CHUNK = 10**5
+_GIBBS_CHUNK = 2 * 10**4
+# quantile points at which dominance_test compares the two CDFs
+_DOMINANCE_GRID = 21
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,6 @@ def bridge_min_tail_mc(
     n: int = 10**5,
     seed: int = 0,
     n_steps: int = 64,
-    chunk: int = 10**5,
 ) -> tuple[float, float]:
     """Unbiased Monte Carlo companion of bridge_min_tail: (estimate, se).
 
@@ -162,7 +166,7 @@ def bridge_min_tail_mc(
     total_sq = 0.0
     done = 0
     while done < n:
-        take = min(chunk, n - done)
+        take = min(_MC_CHUNK, n - done)
         paths = _sample_bridges(spec, rng, take)
         p = _segment_lower_crossing(paths, barrier, dt)
         total += float(np.sum(p))
@@ -246,7 +250,6 @@ def gibbs_resample(
     spec: GibbsSpec,
     seed: int,
     n: int = 1,
-    chunk: int = 2 * 10**4,
 ) -> GibbsResult:
     """Draw n paths from the soft-wall Gibbs law by rejection sampling.
 
@@ -266,7 +269,7 @@ def gibbs_resample(
     w_sum = 0.0
     w_max = 0.0
     while n_acc < n:
-        take = min(chunk, max(1024, 2 * (n - n_acc)))
+        take = min(_GIBBS_CHUNK, max(1024, 2 * (n - n_acc)))
         paths = _sample_bridges(spec.bridge, rng, take)
         w = _gibbs_weights(spec, paths)
         u = rng.random(take)
@@ -319,7 +322,6 @@ def dominance_test(
     spec_b: GibbsSpec,
     n: int = 10**5,
     seed: int = 0,
-    grid_points: int = 21,
 ) -> DominanceReport:
     """Check that spec_b (pointwise-lower boundary data) yields midpoint
     marginals stochastically below spec_a's.
@@ -341,7 +343,7 @@ def dominance_test(
     samp_a = gibbs_resample(spec_a, seed=seed, n=n).paths[:, mid]
     samp_b = gibbs_resample(spec_b, seed=seed + 1, n=n).paths[:, mid]
     pooled = np.concatenate([samp_a, samp_b])
-    grid = np.quantile(pooled, np.linspace(0.02, 0.98, grid_points))
+    grid = np.quantile(pooled, np.linspace(0.02, 0.98, _DOMINANCE_GRID))
     cdf_a = np.searchsorted(np.sort(samp_a), grid, side="right") / n
     cdf_b = np.searchsorted(np.sort(samp_b), grid, side="right") / n
     se = np.sqrt(cdf_a * (1.0 - cdf_a) / n + cdf_b * (1.0 - cdf_b) / n)

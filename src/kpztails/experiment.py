@@ -32,8 +32,7 @@ from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
 from .moments import SANDWICH_FACTOR, moment_exact, psi
 from .she import SolverConfig, solve_she_ensemble
-from .tails import (THEOREM_TAIL_SIDE, VIOLATION, bound_violation_report,
-                    mc_tail)
+from .tails import VIOLATION, bound_violation_report
 
 __all__ = [
     "ExperimentConfig",
@@ -123,6 +122,11 @@ class ExperimentConfig:
     def solver(self, extent: Optional[float] = None) -> SolverConfig:
         return SolverConfig(dx=self.dx, dt=self.dt,
                             extent=self.extent if extent is None else extent)
+
+    def query(self, theorem: str, s: float) -> BoundQuery:
+        return BoundQuery(theorem=theorem, s=s, T=self.T, eps=self.eps,
+                          delta=self.delta, mu=self.mu, zeta=self.zeta,
+                          constants=dict(self.constants))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -261,10 +265,7 @@ def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     rows = []
     for theorem in BoundQuery.THEOREMS:
         for s in s_values:
-            q = BoundQuery(theorem=theorem, s=s, T=config.T, eps=config.eps,
-                           delta=config.delta, mu=config.mu, zeta=config.zeta,
-                           constants=dict(config.constants))
-            for label, res in evaluate_query(q):
+            for label, res in evaluate_query(config.query(theorem, s)):
                 rows.append((theorem, label, s, config.T, res.value,
                              "" if res.value_lower is None else res.value_lower,
                              res.regime,
@@ -360,22 +361,14 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     rows = []
     counts = {"CONSISTENT": 0, "VIOLATION": 0, "UNTESTABLE-AT-SCALE": 0}
     for name in config.initials:
-        vals = samples[name]
-        for theorem in _INITIAL[name].theorems:
-            side = THEOREM_TAIL_SIDE[theorem]
-            ests = [mc_tail(vals, s, side, config.alpha)
-                    for s in config.s_grid]
-            queries = [BoundQuery(theorem=theorem, s=s, T=config.T,
-                                  eps=config.eps, delta=config.delta,
-                                  mu=config.mu, zeta=config.zeta,
-                                  constants=dict(config.constants))
-                       for s in config.s_grid]
-            for v in bound_violation_report(ests, queries):
-                counts[v.verdict] += 1
-                rows.append((name, v.theorem, v.direction, v.side, v.s, v.T,
-                             v.envelope_raw, v.envelope, v.estimate, v.ci_lo,
-                             v.ci_hi, v.n, v.hits, v.verdict, v.slack,
-                             v.regime))
+        queries = [config.query(theorem, s)
+                   for theorem in _INITIAL[name].theorems
+                   for s in config.s_grid]
+        for v in bound_violation_report(samples[name], queries, config.alpha):
+            counts[v.verdict] += 1
+            rows.append((name, v.theorem, v.direction, v.side, v.s, v.T,
+                         v.envelope_raw, v.envelope, v.estimate, v.ci_lo,
+                         v.ci_hi, v.n, v.hits, v.verdict, v.slack, v.regime))
     path = out / "report.csv"
     _write_csv(path, ["initial", "theorem", "direction", "side", "s", "T",
                       "envelope_raw", "envelope", "estimate", "ci_lo", "ci_hi",

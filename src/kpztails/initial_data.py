@@ -140,11 +140,6 @@ class BrownianTwoSided:
     """Two-sided Brownian H_0 pinned to 0 at the origin."""
 
     seed: int = 0
-    diffusion_coeff: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.diffusion_coeff <= 0:
-            raise ValueError("diffusion_coeff must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,53 +238,29 @@ def _floor_runs(profile: Profile, level: float, lo: float, hi: float) -> list:
     return runs
 
 
-@dataclass(frozen=True)
-class UnscaledInitial:
-    """H_0 on the lattice: either a delta marker or a gridded function."""
-
-    kind: str  # "delta" or "grid"
-    x: Optional[np.ndarray] = None
-    H0: Optional[np.ndarray] = None
-
-
 def make_unscaled_initial(data: InitialData, T: float,
-                          x_grid: Optional[np.ndarray] = None) -> UnscaledInitial:
-    """Build the unscaled initial height H_0 for a given time horizon T.
+                          x_grid: np.ndarray) -> np.ndarray:
+    """The unscaled initial height H_0 on the lattice sites x_grid.
 
-    GeneralScaled uses H_0(x) = T^(1/3) f((2T)^(-2/3) x) on x_grid (or on the
-    profile's own grid mapped to lattice coordinates when x_grid is None).
-    Flat returns zeros, BrownianTwoSided draws a pinned two-sided path, and
-    NarrowWedge returns a delta marker resolved by the solver.
+    GeneralScaled gives H_0(x) = T^(1/3) f((2T)^(-2/3) x), Flat zeros, and
+    BrownianTwoSided a pinned two-sided path.  NarrowWedge has no initial
+    height (the solver places its lattice delta) and raises, as does any
+    other type.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if isinstance(data, NarrowWedge):
-        return UnscaledInitial(kind="delta")
+    x = np.asarray(x_grid, float)
     if isinstance(data, Flat):
-        if x_grid is None:
-            raise ValueError("Flat initial data needs an x_grid")
-        return UnscaledInitial(kind="grid", x=np.asarray(x_grid, float),
-                               H0=np.zeros(len(x_grid)))
+        return np.zeros(x.size)
     if isinstance(data, BrownianTwoSided):
-        if x_grid is None:
-            raise ValueError("Brownian initial data needs an x_grid")
-        x = np.asarray(x_grid, float)
-        H0 = _two_sided_brownian(x, data.diffusion_coeff, data.seed)
-        return UnscaledInitial(kind="grid", x=x, H0=H0)
+        return _two_sided_brownian(x, data.seed)
     if isinstance(data, GeneralScaled):
-        scale = (2.0 * T) ** (2.0 / 3.0)
-        if x_grid is None:
-            x = scale * data.profile.y
-            f = data.profile.f
-        else:
-            x = np.asarray(x_grid, float)
-            f = data.profile(x / scale)
-        return UnscaledInitial(kind="grid", x=x, H0=T ** (1.0 / 3.0) * f)
-    raise TypeError(f"unknown initial data {data!r}")
+        return T ** (1.0 / 3.0) * data.profile(x / (2.0 * T) ** (2.0 / 3.0))
+    raise TypeError(f"no initial height function for {data!r}")
 
 
-def _two_sided_brownian(x: np.ndarray, coeff: float, seed) -> np.ndarray:
-    """Gaussian path with B(0)=0 and Var[B(x)] = coeff*|x| on a sorted grid."""
+def _two_sided_brownian(x: np.ndarray, seed) -> np.ndarray:
+    """Gaussian path with B(0)=0 and Var[B(x)] = |x| on a sorted grid."""
     rng = np.random.default_rng(seed)
     H0 = np.zeros(x.size)
     pos = np.flatnonzero(x > 0)
@@ -297,7 +268,7 @@ def _two_sided_brownian(x: np.ndarray, coeff: float, seed) -> np.ndarray:
     for side in (pos, neg):
         prev_x, prev_v = 0.0, 0.0
         for i in side:
-            dv = math.sqrt(coeff * abs(x[i] - prev_x)) * rng.standard_normal()
+            dv = math.sqrt(abs(x[i] - prev_x)) * rng.standard_normal()
             H0[i] = prev_v + dv
             prev_x, prev_v = x[i], H0[i]
     return H0

@@ -212,17 +212,13 @@ class MomentResult:
                 <= SANDWICH_FACTOR * lo + tol)
 
 
-def _log_prefactor(parts: tuple[int, ...], T: float) -> float:
+def _log_prefactor(lam: Partition, T: float) -> float:
     """log of k!/(prod m_j!) * prod e^{T lam^3/12} / (2 pi)^ell / prod(T^{1/3} lam)."""
-    k = sum(parts)
-    ell = len(parts)
-    lp = math.lgamma(k + 1) + T * sum(p**3 for p in parts) / 12.0
-    m: dict[int, int] = {}
-    for p in parts:
-        m[p] = m.get(p, 0) + 1
-    for cnt in m.values():
+    parts = lam.parts
+    lp = math.lgamma(lam.k + 1) + T * sum(p**3 for p in parts) / 12.0
+    for cnt in lam.multiplicities.values():
         lp -= math.lgamma(cnt + 1)
-    lp -= ell * math.log(2.0 * math.pi)
+    lp -= lam.ell * math.log(2.0 * math.pi)
     lp -= sum(math.log(T**_THIRD * p) for p in parts)
     return lp
 
@@ -309,7 +305,7 @@ def moment_exact(k: int, T: float) -> MomentResult:
     total_skip = 0.0
     for lam in enumerate_partitions(k):
         parts = lam.parts
-        log_pref = _log_prefactor(parts, T)
+        log_pref = _log_prefactor(lam, T)
         if log_pref > _LOG_FLOAT_MAX:
             raise OverflowError(
                 f"partition {parts} term exceeds float range at T={T}; "

@@ -105,20 +105,15 @@ class SolverConfig:
         half = round(self.extent / self.dx)
         return self.dx * np.arange(-half, half + 1)
 
-    @property
-    def lam(self) -> float:
-        return self.dt_value / (2.0 * self.dx**2)
-
 
 def _initial_Z(initial: InitialData, T: float, cfg: SolverConfig) -> np.ndarray:
-    x = cfg.x_grid
     if isinstance(initial, NarrowWedge):
         Z0 = np.zeros(cfg.n_sites)
         Z0[cfg.n_sites // 2] = 1.0 / cfg.dx  # lattice delta, mass 1
         return Z0
-    init = make_unscaled_initial(initial, T, x_grid=x)
+    H0 = make_unscaled_initial(initial, T, cfg.x_grid)
     with np.errstate(over="raise"):
-        return np.exp(init.H0)
+        return np.exp(H0)
 
 
 def _time_steps(T: float, cfg: SolverConfig) -> tuple:

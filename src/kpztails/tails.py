@@ -1,9 +1,12 @@
 """Exact binomial tail estimation and envelope-violation verdicts.
 
-Every Monte Carlo tail probability is reported with a Clopper-Pearson
-interval (normal approximations are useless near 0, which is where tail
-checks live).  Verdicts compare the interval against a theorem envelope
-clamped to [0, 1]:
+bound_violation_report takes one sample of a scaled height and the
+queries to judge it against.  For each query it counts the sample's hits
+on the tail the theorem table in bounds gives for the family ({X <= -s}
+for a lower tail, {X >= s} for an upper tail) and reports the tail
+probability with a Clopper-Pearson interval (normal approximations are
+useless near 0, which is where tail checks live).  Verdicts compare the
+interval against a theorem envelope clamped to [0, 1]:
 
     upper-bound claim P <= env   violated iff  ci_lo > env
     lower-bound claim P >= env   violated iff  ci_hi < env
@@ -26,12 +29,9 @@ from scipy.special import betaincinv
 from .bounds import BoundQuery, evaluate_query
 
 __all__ = [
-    "TailEstimate",
     "CellVerdict",
-    "mc_tail",
     "clopper_pearson",
     "bound_violation_report",
-    "THEOREM_TAIL_SIDE",
     "MIN_EXPECTED_HITS",
 ]
 
@@ -40,16 +40,6 @@ VIOLATION = "VIOLATION"
 UNTESTABLE = "UNTESTABLE-AT-SCALE"
 
 MIN_EXPECTED_HITS = 10.0
-
-# which tail of the scaled height each theorem family talks about
-THEOREM_TAIL_SIDE = {
-    "general_lower": "lower",
-    "nw_lower": "lower",
-    "brownian_lower": "lower",
-    "nw_upper": "upper",
-    "general_upper": "upper",
-    "brownian_upper": "upper",
-}
 
 
 def clopper_pearson(hits: int, n: int, alpha: float = 0.01):
@@ -71,52 +61,6 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01):
     hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits,
                                                 1.0 - alpha / 2.0))
     return lo, hi
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Empirical tail probability with an exact binomial interval.
-
-    side "lower" counts events {X <= -s}; side "upper" counts {X >= s}.
-    """
-
-    s: float
-    side: str
-    n: int
-    hits: int
-    alpha: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
-        if self.n < 1:
-            raise ValueError("need at least one sample")
-        if not 0 <= self.hits <= self.n:
-            raise ValueError("hits must lie in [0, n]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-    @property
-    def estimate(self) -> float:
-        return self.hits / self.n
-
-    @property
-    def ci(self):
-        return clopper_pearson(self.hits, self.n, self.alpha)
-
-
-def mc_tail(samples, s: float, side: str, alpha: float = 0.01) -> TailEstimate:
-    """Count tail events in a 1-d sample and wrap the exact interval."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("samples must be a nonempty 1-d array")
-    if side == "lower":
-        hits = int(np.sum(x <= -s))
-    elif side == "upper":
-        hits = int(np.sum(x >= s))
-    else:
-        raise ValueError("side must be 'lower' or 'upper'")
-    return TailEstimate(s=s, side=side, n=int(x.size), hits=hits, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -148,49 +92,47 @@ def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _judge(direction: str, env: float, est: TailEstimate):
+def _judge(direction: str, env: float, lo: float, hi: float, n: int):
     # a decisive contradiction outranks the depth label: an interval that
     # clears the envelope is evidence no matter how few hits were expected
-    lo, hi = est.ci
     violated = (lo > env) if direction == "upper" else (hi < env)
     if violated:
         verdict = VIOLATION
-    elif est.n * env < MIN_EXPECTED_HITS:
+    elif n * env < MIN_EXPECTED_HITS:
         verdict = UNTESTABLE
     else:
         verdict = CONSISTENT
     slack = (env - lo) if direction == "upper" else (hi - env)
-    return verdict, slack, lo, hi
+    return verdict, slack
 
 
 def bound_violation_report(
-    estimates: Sequence[TailEstimate],
+    samples,
     queries: Sequence[BoundQuery],
+    alpha: float = 0.01,
     check_lower: bool = False,
 ) -> list:
-    """Compare tail estimates against the paired theorems' envelopes.
+    """Judge one 1-d sample against each query's theorem envelopes.
 
-    estimates[i] is checked against queries[i]; the estimate's (s, side)
-    must match the query.  By default only the upper envelopes (claims
-    P <= env) are judged: the lower envelopes are asymptotic statements
-    whose unit-constant versions fail at desk-scale s, so they are opt-in
-    via check_lower and reported, never silently dropped.
+    Each query's hits are counted on its family's tail side, with both
+    thresholds inclusive, and carry a (1 - alpha) Clopper-Pearson interval.
+    By default only the upper envelopes (claims P <= env) are judged: the
+    lower envelopes are asymptotic statements whose unit-constant versions
+    fail at desk-scale s, so they are opt-in via check_lower and reported,
+    never silently dropped.
     """
-    if len(estimates) != len(queries):
-        raise ValueError(
-            f"got {len(estimates)} estimates but {len(queries)} queries")
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("samples must be a nonempty 1-d array")
+    n = int(x.size)
     out = []
-    for est, q in zip(estimates, queries):
-        side = THEOREM_TAIL_SIDE.get(q.theorem)
+    for q in queries:
+        side = q.side
         if side is None:
             raise ValueError(
                 f"{q.theorem} is not a tail-probability statement")
-        if est.side != side:
-            raise ValueError(
-                f"estimate side {est.side!r} does not match {q.theorem}")
-        if est.s != q.s:
-            raise ValueError(
-                f"estimate at s = {est.s:g} paired with query at s = {q.s:g}")
+        hits = int(np.sum(x <= -q.s) if side == "lower" else np.sum(x >= q.s))
+        lo, hi = clopper_pearson(hits, n, alpha)
         for label, res in evaluate_query(q):
             checks = []
             if label in ("upper", "two_sided"):
@@ -202,11 +144,11 @@ def bound_violation_report(
                     checks.append(("lower", res.value_lower))
             for direction, raw in checks:
                 env = _clamp01(raw)
-                verdict, slack, lo, hi = _judge(direction, env, est)
+                verdict, slack = _judge(direction, env, lo, hi, n)
                 out.append(CellVerdict(
                     theorem=q.theorem, direction=direction, s=q.s, T=q.T,
                     side=side, envelope_raw=float(raw), envelope=env,
-                    estimate=est.estimate, ci_lo=lo, ci_hi=hi, n=est.n,
-                    hits=est.hits, verdict=verdict, slack=slack,
+                    estimate=hits / n, ci_lo=lo, ci_hi=hi, n=n,
+                    hits=hits, verdict=verdict, slack=slack,
                     regime=res.regime))
     return out

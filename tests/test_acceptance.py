@@ -25,8 +25,7 @@ from kpztails.moments import (Partition, cauchy_det_check,
                               partition_cubic_gap, psi, siegel_check)
 from kpztails.she import (SolverConfig, fkg_joint_vs_product,
                           solve_she_ensemble, stationarity_report)
-from kpztails.tails import (THEOREM_TAIL_SIDE, UNTESTABLE, VIOLATION,
-                            bound_violation_report, mc_tail)
+from kpztails.tails import UNTESTABLE, VIOLATION, bound_violation_report
 
 DX = 0.05
 DT = 1.25e-3  # stability boundary dx^2/2; halves the step count
@@ -261,12 +260,10 @@ def test_c13_bound_non_violation(nw_t1, flat_t1, brownian_t1_samples):
     s_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
     verdicts = []
     for theorems, samples in datasets.items():
-        for theorem in theorems:
-            side = THEOREM_TAIL_SIDE[theorem]
-            ests = [mc_tail(samples, s, side) for s in s_grid]
-            queries = [BoundQuery(theorem=theorem, s=s, T=1.0,
-                                  constants=dict(CONSTANTS)) for s in s_grid]
-            verdicts.extend(bound_violation_report(ests, queries))
+        queries = [BoundQuery(theorem=theorem, s=s, T=1.0,
+                              constants=dict(CONSTANTS))
+                   for theorem in theorems for s in s_grid]
+        verdicts.extend(bound_violation_report(samples, queries))
     assert not any(v.verdict == VIOLATION for v in verdicts), [
         (v.theorem, v.s, v.ci_lo, v.envelope)
         for v in verdicts if v.verdict == VIOLATION]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from kpztails.bounds import (
     BoundQuery,
     BoundResult,
-    brownian_lower_tail,
     brownian_upper_tail,
     classify_regime,
     evaluate_query,
@@ -59,8 +58,10 @@ class TestGeneralLowerTail:
     @given(s=pos_s, T=pos_T, eps=eps_third, delta=eps_third, K=st.floats(0.1, 10))
     def test_brownian_variant_is_identical(self, s, T, eps, delta, K):
         a = lower_tail_upper_general(s, T, eps, delta, K)
-        b = brownian_lower_tail(s, T, eps, delta, K)
-        assert a.value == b.value and a.regime == b.regime
+        (_, b), = evaluate_query(BoundQuery(
+            theorem="brownian_lower", s=s, T=T, eps=eps, delta=delta,
+            constants={"K": K}))
+        assert a == b
 
     @pytest.mark.parametrize("eps,delta", [(0.4, 0.1), (0.1, 0.34), (0.0, 0.1)])
     def test_parameter_range_enforced(self, eps, delta):
@@ -261,6 +262,37 @@ class TestQueryDispatch:
         (_, r), = evaluate_query(q)
         direct = lower_tail_upper_general(2.0, 1.0, 0.1, 0.1, K=3.0)
         assert r.value == direct.value
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_each_family_calls_its_own_function(self, s):
+        # every parameter and constant differs from its default and from the
+        # others, so a family wired to another's function, or a constant
+        # passed in another's place, changes some row; s = 0.5 lies below
+        # s0 (vacuous upper tails) and s = 2.0 above it
+        T, eps, delta, mu, zeta = 8.0, 0.2, 0.15, 0.25, 0.1
+        K, K1, K2, s0 = 2.0, 3.0, 5.0, 0.7
+        direct = {
+            "general_lower": [
+                ("upper", lower_tail_upper_general(s, T, eps, delta, K))],
+            "nw_lower": list(zip(("upper", "lower"),
+                                 nw_lower_tail(s, T, eps, delta, K1, K2))),
+            "nw_upper": [("two_sided", nw_upper_tail(s, T, eps, s0=s0))],
+            "general_upper": [
+                ("two_sided", general_upper_tail(s, T, eps, mu, s0=s0))],
+            "brownian_lower": [
+                ("upper", lower_tail_upper_general(s, T, eps, delta, K))],
+            "brownian_upper": [
+                ("two_sided", brownian_upper_tail(s, T, eps, mu, s0=s0))],
+            "nw_upper_laplace": list(zip(("upper", "lower"),
+                                         nw_upper_laplace_bounds(s, T, eps,
+                                                                 zeta))),
+        }
+        assert tuple(direct) == BoundQuery.THEOREMS
+        for theorem, rows in direct.items():
+            q = BoundQuery(theorem=theorem, s=s, T=T, eps=eps, delta=delta,
+                           mu=mu, zeta=zeta,
+                           constants={"K": K, "K1": K1, "K2": K2, "s0": s0})
+            assert evaluate_query(q) == rows, theorem
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

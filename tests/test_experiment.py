@@ -97,6 +97,16 @@ class TestConfig:
         assert sc.dx == tiny_cfg.dx and sc.extent == tiny_cfg.extent
         assert tiny_cfg.solver(extent=5.0).extent == 5.0
 
+    def test_query_uses_config_parameters(self):
+        cfg = ExperimentConfig(T=4.0, eps=0.2, delta=0.15, mu=0.25, zeta=0.1,
+                               constants={"K": 2.0, "K1": 3.0, "K2": 5.0,
+                                          "s0": 0.7})
+        q = cfg.query("nw_upper", 1.5)
+        assert (q.theorem, q.s, q.T, q.eps, q.delta, q.mu, q.zeta) == (
+            "nw_upper", 1.5, 4.0, 0.2, 0.15, 0.25, 0.1)
+        assert q.constants == cfg.constants
+        assert q.constants is not cfg.constants
+
 
 class TestBundle:
     def test_all_sections_pass(self, bundle):

@@ -128,51 +128,54 @@ class TestProfileEvaluation:
 class TestMakeUnscaledInitial:
     def test_flat_is_zero(self):
         x = np.linspace(-2, 2, 11)
-        init = make_unscaled_initial(Flat(), T=0.7, x_grid=x)
-        assert init.kind == "grid"
-        assert np.all(init.H0 == 0.0)
+        H0 = make_unscaled_initial(Flat(), T=0.7, x_grid=x)
+        assert H0.shape == x.shape
+        assert np.all(H0 == 0.0)
 
-    def test_narrow_wedge_is_delta_marker(self):
-        assert make_unscaled_initial(NarrowWedge(), T=1.0).kind == "delta"
+    def test_narrow_wedge_rejected(self):
+        # the solver places the narrow wedge's lattice delta itself
+        with pytest.raises(TypeError, match="NarrowWedge"):
+            make_unscaled_initial(NarrowWedge(), T=1.0, x_grid=np.zeros(3))
 
     def test_linear_profile_scaling(self):
         # f(y)=y, T=1/2: (2T)^(2/3)=1 so H_0(x) = (1/2)^(1/3) x
         y = np.linspace(-3, 3, 61)
         prof = Profile(y, y.copy())
         hyp = HypParams(C=3.0, nu=0.5, theta=1.0, kappa=3.0, M=1.0)
-        init = make_unscaled_initial(GeneralScaled(prof, hyp), T=0.5)
-        assert init.H0 == pytest.approx(0.5 ** (1 / 3) * init.x)
-        assert init.H0[-1] == pytest.approx(3 * 0.79370, abs=3e-5)
+        T = 0.5
+        x = (2 * T) ** (2 / 3) * y
+        H0 = make_unscaled_initial(GeneralScaled(prof, hyp), T=T, x_grid=x)
+        assert H0 == pytest.approx(0.5 ** (1 / 3) * x)
+        assert H0[-1] == pytest.approx(3 * 0.79370, abs=3e-5)
 
     def test_roundtrip_reproduces_profile(self):
         y = np.linspace(-2, 2, 41)
         prof = Profile(y, np.sin(y))
         hyp = HypParams(C=2.0, nu=0.5, theta=1.0, kappa=2.0, M=1.0)
         T = 1.7
-        init = make_unscaled_initial(GeneralScaled(prof, hyp), T=T)
-        back = init.H0 / T ** (1 / 3)
+        x = (2 * T) ** (2 / 3) * y
+        H0 = make_unscaled_initial(GeneralScaled(prof, hyp), T=T, x_grid=x)
+        back = H0 / T ** (1 / 3)
         assert back == pytest.approx(np.sin(y), abs=1e-12)
-        assert init.x == pytest.approx((2 * T) ** (2 / 3) * y)
 
     def test_brownian_variance_and_pinning(self):
         x = np.linspace(-4, 4, 17)
         draws = np.array([
-            make_unscaled_initial(BrownianTwoSided(seed=s, diffusion_coeff=2.0),
-                                  T=1.0, x_grid=x).H0
+            make_unscaled_initial(BrownianTwoSided(seed=s), T=1.0, x_grid=x)
             for s in range(4000)
         ])
         i0 = np.argmin(np.abs(x))
         assert np.all(draws[:, i0] == 0.0)
         v = draws.var(axis=0)
-        assert v == pytest.approx(2.0 * np.abs(x), rel=0.12, abs=1e-12)
+        assert v == pytest.approx(np.abs(x), rel=0.12, abs=1e-12)
         # independent increments on opposite sides
         corr = np.corrcoef(draws[:, 0], draws[:, -1])[0, 1]
         assert abs(corr) < 0.06
 
     def test_brownian_draw_is_seed_deterministic(self):
         x = np.linspace(-1, 1, 9)
-        a = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x).H0
-        b = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x).H0
+        a = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x)
+        b = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x)
         assert np.array_equal(a, b)
 
     def test_invalid_T(self):

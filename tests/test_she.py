@@ -75,7 +75,6 @@ class TestSolverConfig:
         assert cfg.dt_value == pytest.approx(0.05**2 / 4.0, rel=0, abs=0)
         assert cfg.extent == 8.0
         assert cfg.n_sites == 321
-        assert cfg.lam == pytest.approx(0.125)
 
     def test_x_grid_symmetric(self):
         cfg = SolverConfig(dx=0.1, extent=2.0)

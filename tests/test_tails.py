@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from kpztails.bounds import BoundQuery
-from kpztails.tails import (CONSISTENT, MIN_EXPECTED_HITS, THEOREM_TAIL_SIDE,
-                            UNTESTABLE, VIOLATION, TailEstimate,
-                            bound_violation_report, clopper_pearson, mc_tail)
+from kpztails.tails import (CONSISTENT, MIN_EXPECTED_HITS, UNTESTABLE,
+                            VIOLATION, bound_violation_report, clopper_pearson)
 
 
 class TestClopperPearson:
@@ -131,59 +130,71 @@ class TestClopperPearson:
             assert covered / 10**4 >= 0.99
 
 
+def _query(theorem, s, T=1.0, **kw):
+    return BoundQuery(theorem=theorem, s=s, T=T,
+                      constants={"K": 1.0, "K1": 1.0, "K2": 1.0, "s0": 0.0},
+                      **kw)
+
+
+def _cell(samples, theorem, s, **kw):
+    """The first verdict row of one query, the one that every family has."""
+    return bound_violation_report(samples, [_query(theorem, s)], **kw)[0]
+
+
 class TestTailEstimate:
+    """The tail estimate each verdict carries: hits / n and its interval."""
+
     def test_fields_and_properties(self):
-        est = TailEstimate(s=2.0, side="upper", n=400, hits=8)
-        assert est.estimate == 0.02
-        lo, hi = est.ci
-        assert 0.0 < lo < 0.02 < hi < 1.0
-        assert (lo, hi) == clopper_pearson(8, 400, 0.01)
+        x = np.r_[np.full(8, 3.0), np.zeros(392)]
+        row = _cell(x, "nw_upper", 2.0, alpha=0.05)
+        assert (row.hits, row.n, row.side) == (8, 400, "upper")
+        assert row.estimate == 0.02
+        assert 0.0 < row.ci_lo < 0.02 < row.ci_hi < 1.0
+        assert (row.ci_lo, row.ci_hi) == clopper_pearson(8, 400, 0.05)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(s=1.0, side="both", n=10, hits=1),
-        dict(s=1.0, side="upper", n=0, hits=0),
-        dict(s=1.0, side="upper", n=10, hits=11),
-        dict(s=1.0, side="upper", n=10, hits=1, alpha=0.0),
+        dict(samples=[[1.0, 2.0]]),
+        dict(samples=[]),
+        dict(samples=[1.0], alpha=0.0),
+        dict(samples=[1.0], alpha=1.0),
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            TailEstimate(**kwargs)
+        with pytest.raises(ValueError, match="1-d|alpha"):
+            bound_violation_report(queries=[_query("nw_upper", 1.0)], **kwargs)
 
 
 class TestMcTail:
+    """Monte Carlo tail counts as bound_violation_report makes them."""
+
     def test_counts_both_sides(self):
         x = [-3.0, -1.0, 0.0, 1.0, 2.5]
-        lower = mc_tail(x, 1.0, "lower")
-        upper = mc_tail(x, 1.0, "upper")
+        lower = _cell(x, "nw_lower", 1.0)
+        upper = _cell(x, "nw_upper", 1.0)
         assert (lower.hits, lower.n) == (2, 5)  # -3 and -1 are <= -1
         assert (upper.hits, upper.n) == (2, 5)  # 1 and 2.5 are >= 1
         assert lower.side == "lower" and upper.side == "upper"
 
     def test_threshold_inclusive(self):
-        assert mc_tail([1.0], 1.0, "upper").hits == 1
-        assert mc_tail([-1.0], 1.0, "lower").hits == 1
+        assert _cell([1.0], "nw_upper", 1.0).hits == 1
+        assert _cell([-1.0], "nw_lower", 1.0).hits == 1
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="side"):
-            mc_tail([1.0], 1.0, "middle")
         with pytest.raises(ValueError, match="1-d"):
-            mc_tail([[1.0, 2.0]], 1.0, "upper")
+            _cell([[1.0, 2.0]], "nw_upper", 1.0)
         with pytest.raises(ValueError, match="1-d"):
-            mc_tail([], 1.0, "upper")
+            _cell([], "nw_upper", 1.0)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=60),
-           st.floats(0.1, 5.0))
+           st.floats(0.1, 5.0), st.floats(1e-4, 0.5))
     @settings(max_examples=150, deadline=None)
-    def test_matches_brute_force(self, xs, s):
+    def test_matches_brute_force(self, xs, s, alpha):
         arr = np.array(xs)
-        assert mc_tail(xs, s, "upper").hits == int((arr >= s).sum())
-        assert mc_tail(xs, s, "lower").hits == int((arr <= -s).sum())
-
-
-def _query(theorem, s, T=1.0, **kw):
-    return BoundQuery(theorem=theorem, s=s, T=T,
-                      constants={"K": 1.0, "K1": 1.0, "K2": 1.0, "s0": 0.0},
-                      **kw)
+        for theorem, hits in (("nw_upper", int((arr >= s).sum())),
+                              ("nw_lower", int((arr <= -s).sum()))):
+            row = _cell(xs, theorem, s, alpha=alpha)
+            assert (row.hits, row.n) == (hits, arr.size)
+            assert (row.ci_lo, row.ci_hi) == clopper_pearson(hits, arr.size,
+                                                             alpha)
 
 
 class TestReportVerdicts:
@@ -191,8 +202,7 @@ class TestReportVerdicts:
         # true tail far below the nw lower-tail upper envelope
         rng = np.random.default_rng(3)
         vals = rng.normal(0.0, 0.5, size=4000)
-        est = mc_tail(vals, 1.0, "lower")
-        rows = bound_violation_report([est], [_query("nw_lower", 1.0)])
+        rows = bound_violation_report(vals, [_query("nw_lower", 1.0)])
         assert len(rows) == 1  # default judges only the upper envelope
         row = rows[0]
         assert row.direction == "upper"
@@ -204,8 +214,8 @@ class TestReportVerdicts:
     def test_trivial_envelope_at_small_T(self):
         # upper-tail theorems return an infinite raw envelope for T <= pi,
         # so the clamped cell is consistent with any sample
-        est = mc_tail(np.full(100, 50.0), 1.0, "upper")
-        row, = bound_violation_report([est], [_query("nw_upper", 1.0)])
+        row, = bound_violation_report(np.full(100, 50.0),
+                                      [_query("nw_upper", 1.0)])
         assert math.isinf(row.envelope_raw)
         assert row.envelope == 1.0
         assert row.verdict == CONSISTENT
@@ -213,25 +223,23 @@ class TestReportVerdicts:
 
     def test_untestable_deep_cell(self):
         # envelope too small for 10 expected hits and no contradiction
-        est = mc_tail(np.zeros(100), 40.0, "lower")
-        row, = bound_violation_report([est], [_query("nw_lower", 40.0)])
-        assert est.n * row.envelope < MIN_EXPECTED_HITS
+        row, = bound_violation_report(np.zeros(100), [_query("nw_lower", 40.0)])
+        assert row.n * row.envelope < MIN_EXPECTED_HITS
         assert row.verdict == UNTESTABLE
 
     def test_deep_violation_not_masked(self):
         # all mass beyond the threshold: interval sits above the tiny
         # envelope, so the depth label must not hide the contradiction
-        est = mc_tail(np.full(1000, -50.0), 40.0, "lower")
-        row, = bound_violation_report([est], [_query("nw_lower", 40.0)])
-        assert est.n * row.envelope < MIN_EXPECTED_HITS
+        row, = bound_violation_report(np.full(1000, -50.0),
+                                      [_query("nw_lower", 40.0)])
+        assert row.n * row.envelope < MIN_EXPECTED_HITS
         assert row.verdict == VIOLATION
         assert not row.passed
 
     def test_check_lower_flags_failed_lower_envelope(self):
         # nw_lower's companion lower envelope with unit constants is far
         # above the true tail at desk scale; opt-in check exposes that
-        est = mc_tail(np.zeros(2000), 2.0, "lower")
-        rows = bound_violation_report([est], [_query("nw_lower", 2.0)],
+        rows = bound_violation_report(np.zeros(2000), [_query("nw_lower", 2.0)],
                                       check_lower=True)
         assert [r.direction for r in rows] == ["upper", "lower"]
         assert rows[0].verdict == CONSISTENT
@@ -240,50 +248,49 @@ class TestReportVerdicts:
 
     def test_two_sided_check_lower(self):
         # upper-tail theorems carry both envelopes at large T
-        est = mc_tail(np.zeros(2000), 2.0, "upper")
-        rows = bound_violation_report([est], [_query("nw_upper", 2.0, T=5.0)],
+        rows = bound_violation_report(np.zeros(2000),
+                                      [_query("nw_upper", 2.0, T=5.0)],
                                       check_lower=True)
         assert [r.direction for r in rows] == ["upper", "lower"]
         assert all(math.isfinite(r.envelope_raw) for r in rows)
 
     def test_slack_sign(self):
-        est = mc_tail(np.zeros(500), 1.0, "lower")
-        row, = bound_violation_report([est], [_query("nw_lower", 1.0)])
+        row, = bound_violation_report(np.zeros(500), [_query("nw_lower", 1.0)])
         assert row.slack == pytest.approx(row.envelope - row.ci_lo)
         assert (row.slack >= 0.0) == (row.verdict != VIOLATION)
 
     def test_verdict_row_matches_envelope_function(self):
         from kpztails.bounds import nw_lower_tail
-        est = mc_tail(np.zeros(500), 2.0, "lower")
-        row, = bound_violation_report([est], [_query("nw_lower", 2.0)])
+        row, = bound_violation_report(np.zeros(500), [_query("nw_lower", 2.0)])
         upper_env, _ = nw_lower_tail(2.0, 1.0, 0.1, 0.1, 1.0)
         assert row.envelope_raw == upper_env.value
 
 
 class TestReportValidation:
-    def test_length_mismatch(self):
-        est = mc_tail([0.0], 1.0, "lower")
-        with pytest.raises(ValueError, match="estimates"):
-            bound_violation_report([est, est], [_query("nw_lower", 1.0)])
-
     def test_laplace_query_rejected(self):
-        est = mc_tail([0.0], 1.0, "upper")
         with pytest.raises(ValueError, match="not a tail-probability"):
-            bound_violation_report([est], [_query("nw_upper_laplace", 1.0)])
-
-    def test_side_mismatch(self):
-        est = mc_tail([0.0], 1.0, "upper")
-        with pytest.raises(ValueError, match="side"):
-            bound_violation_report([est], [_query("nw_lower", 1.0)])
-
-    def test_s_mismatch(self):
-        est = mc_tail([0.0], 1.0, "lower")
-        with pytest.raises(ValueError, match="paired with query"):
-            bound_violation_report([est], [_query("nw_lower", 2.0)])
+            bound_violation_report([0.0], [_query("nw_upper_laplace", 1.0)])
 
     def test_side_table_covers_tail_theorems(self):
-        tail_theorems = set(BoundQuery.THEOREMS) - {"nw_upper_laplace"}
-        assert set(THEOREM_TAIL_SIDE) == tail_theorems
-        for theorem, side in THEOREM_TAIL_SIDE.items():
+        # one sample point in the lower tail, two in the upper: each
+        # family's hits show the side that the theorem table gives it
+        x = [-2.0, 0.0, 2.0, 2.0]
+        for theorem in BoundQuery.THEOREMS:
+            side = _query(theorem, 1.0).side
+            if theorem == "nw_upper_laplace":
+                assert side is None
+                continue
             expected = "lower" if theorem.endswith("lower") else "upper"
-            assert side == expected
+            assert side == expected, theorem
+            row = _cell(x, theorem, 1.0)
+            assert (row.side, row.hits) == (
+                expected, 1 if expected == "lower" else 2), theorem
+
+    def test_queries_keep_their_order(self):
+        # one verdict row per query, in query order, all on one sample
+        queries = [_query(th, s) for th in ("nw_lower", "general_upper")
+                   for s in (0.5, 1.0, 2.0)]
+        rows = bound_violation_report(np.linspace(-3.0, 3.0, 61), queries)
+        assert [(r.theorem, r.s) for r in rows] == [
+            (q.theorem, q.s) for q in queries]
+        assert {r.n for r in rows} == {61}
