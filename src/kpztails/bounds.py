@@ -64,11 +64,6 @@ class BoundResult:
         if self.c1 is not None and self.c2 is not None and not self.c1 > self.c2:
             raise ValueError(f"need c1 > c2, got {self.c1} <= {self.c2}")
 
-    @property
-    def pair(self):
-        """(lower, upper) envelope pair for two-sided statements."""
-        return (self.value_lower, self.value)
-
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not lo < value < hi:
@@ -295,8 +290,9 @@ class BoundQuery:
     def __post_init__(self) -> None:
         if self.theorem not in self.THEOREMS:
             raise ValueError(f"unknown theorem family {self.theorem!r}")
-        if self.s <= 0 or self.T <= 0:
-            raise ValueError("s and T must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.s, self.T)):
+            raise ValueError(
+                f"s and T must be finite and positive, got s={self.s}, T={self.T}")
 
     @property
     def side(self) -> Optional[str]:

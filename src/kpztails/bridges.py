@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -97,13 +97,9 @@ def _sample_bridges(spec: BridgeSpec, rng: np.random.Generator, n: int) -> np.nd
     return paths
 
 
-def sample_bridge(spec: BridgeSpec, seed: int, n: Optional[int] = None) -> np.ndarray:
-    """One bridge path (default) or n paths stacked row-wise."""
-    rng = np.random.default_rng(seed)
-    paths = _sample_bridges(spec, rng, 1 if n is None else int(n))
-    if n is None:
-        return paths[0]
-    return paths
+def sample_bridge(spec: BridgeSpec, seed: int, n: int) -> np.ndarray:
+    """n bridge paths stacked row-wise, shape (n, n_steps + 1)."""
+    return _sample_bridges(spec, np.random.default_rng(seed), int(n))
 
 
 def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, float]:
@@ -182,41 +178,26 @@ class GibbsSpec:
     """Single-curve soft-wall specification: free bridge reweighted by the
     lower curve g through W = exp(-int H_T(g - L)).
 
-    lower_curve may be None (no wall, g = -inf), a scalar level, or an array
-    aligned with bridge.grid; entries of -inf are allowed per site.  The
-    upper neighbor is +inf (its interaction term vanishes identically).
+    lower_curve is a constant wall level g, finite or -inf, or None (no
+    wall, g = -inf).  The upper neighbor is +inf (its interaction term
+    vanishes identically).
     """
 
     bridge: BridgeSpec
     T: float
-    lower_curve: Union[None, float, np.ndarray] = None
+    lower_curve: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
             raise ValueError("T must be positive")
         g = self.lower_curve
-        if g is None:
-            return
-        if np.ndim(g) == 0:
-            if math.isnan(float(g)) or float(g) == math.inf:
-                raise ValueError("lower_curve must be finite or -inf")
-            return
-        g = np.asarray(g, dtype=float)
-        if g.shape != self.bridge.grid.shape:
-            raise ValueError(
-                f"lower_curve shape {g.shape} does not match the bridge grid "
-                f"{self.bridge.grid.shape}")
-        if np.any(np.isnan(g)) or np.any(g == math.inf):
-            raise ValueError("lower_curve entries must be finite or -inf")
-        object.__setattr__(self, "lower_curve", g)
+        if g is not None and (math.isnan(g) or g == math.inf):
+            raise ValueError("lower_curve must be finite or -inf")
 
-    def lower_on_grid(self) -> np.ndarray:
-        g = self.lower_curve
-        if g is None:
-            return np.full(self.bridge.grid.shape, -math.inf)
-        if np.ndim(g) == 0:
-            return np.full(self.bridge.grid.shape, float(g))
-        return g
+
+def _wall(spec: GibbsSpec) -> float:
+    """The wall level g of spec, -inf without a wall."""
+    return -math.inf if spec.lower_curve is None else spec.lower_curve
 
 
 @dataclass(frozen=True)
@@ -237,10 +218,9 @@ class GibbsResult:
 
 def _gibbs_weights(spec: GibbsSpec, paths: np.ndarray) -> np.ndarray:
     """W = exp(-trapezoid of H_T(g - L)) per path; W in (0, 1]."""
-    g = spec.lower_on_grid()
     grid = spec.bridge.grid
     with np.errstate(over="ignore"):
-        h = np.exp(spec.T**_THIRD * (g[None, :] - paths))
+        h = np.exp(spec.T**_THIRD * (_wall(spec) - paths))
         integral = np.trapezoid(h, grid, axis=1)
         w = np.exp(-integral)
     return w
@@ -309,12 +289,9 @@ class DominanceReport:
 
 
 def _boundary_leq(spec_b: GibbsSpec, spec_a: GibbsSpec) -> bool:
-    if not (spec_b.bridge.x <= spec_a.bridge.x and spec_b.bridge.y <= spec_a.bridge.y):
-        return False
-    gb = spec_b.lower_on_grid()
-    ga = spec_a.lower_on_grid()
-    # -inf <= anything holds; nan impossible by construction
-    return bool(np.all(gb <= ga))
+    return (spec_b.bridge.x <= spec_a.bridge.x
+            and spec_b.bridge.y <= spec_a.bridge.y
+            and _wall(spec_b) <= _wall(spec_a))
 
 
 def dominance_test(

@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         overrides = (None if args.config is None
                      else json.loads(args.config.read_text()))
         config = preset_config(args.preset, overrides)
-    except (OSError, ValueError) as exc:  # unreadable file or bad field
+    except (OSError, TypeError, ValueError) as exc:  # bad file, field or value
         parser.error(f"--config {args.config}: {exc}")
     summary = _RUNNERS[args.command](config, args.seed, args.out_dir)
     for name, ok in summary.get("checks", {}).items():

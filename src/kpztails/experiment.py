@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +30,7 @@ from .bounds import DEFAULT_CONSTANTS, BoundQuery, evaluate_query
 from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
-from .moments import SANDWICH_FACTOR, moment_exact, psi
+from .moments import MAX_MOMENT_K, SANDWICH_FACTOR, moment_exact, psi
 from .she import SolverConfig, solve_she_ensemble
 from .tails import VIOLATION, bound_violation_report
 
@@ -72,13 +72,18 @@ _INITIAL = {
                      ("general_lower", "general_upper")),
     "brownian": _Initial(
         lambda seed: BrownianTwoSided(seed=_stream_seed(seed, "brownian_path")),
-        "brownian", ("brownian_lower", "brownian_upper")),
+        "general", ("brownian_lower", "brownian_upper")),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for one experiment bundle; JSON-round-trippable."""
+    """Knobs for one experiment bundle, checked whole on construction.
+
+    Every grid must be non-empty.  The lattices and the envelope queries
+    that the runners build are built here too, so that their own checks
+    reject a bad value before any section runs.
+    """
 
     preset: str = "smoke"
     initials: tuple = tuple(_INITIAL)
@@ -111,13 +116,32 @@ class ExperimentConfig:
         object.__setattr__(self, "constants", dict(self.constants))
         if self.n_samples < 2 or self.gibbs_n < 2 or self.airy_n < 2:
             raise ValueError("sample counts must be at least 2")
+        empty = [name for name in _TUPLE_FIELDS if not getattr(self, name)]
+        if empty:
+            raise ValueError(f"empty grids: {empty}")
         bad = [i for i in self.initials if i not in _INITIAL]
         if bad:
             raise ValueError(f"unknown initial data names: {bad}")
-        if not self.T > 0.0 or not self.airy_T > 0.0:
-            raise ValueError("T must be positive")
-        if any(s <= 0.0 for s in self.s_grid):
-            raise ValueError("tail thresholds must be positive")
+        if not all(math.isfinite(t) and t > 0.0
+                   for t in (self.airy_T, *self.moments_T)):
+            raise ValueError("airy_T and moments_T must be finite and positive")
+        if not all(math.isfinite(s) for s in self.airy_s):
+            raise ValueError("airy_s levels must be finite")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not all(isinstance(k, int) and 1 <= k <= MAX_MOMENT_K
+                   for k in self.moments_k):
+            raise ValueError(f"moments_k must lie in [1, {MAX_MOMENT_K}]")
+        unknown = sorted(set(self.constants) - set(DEFAULT_CONSTANTS))
+        if unknown:
+            raise ValueError(f"unknown constants: {unknown}; "
+                             f"choose from {sorted(DEFAULT_CONSTANTS)}")
+        # build what the runners build, so that their own checks run now
+        self.solver()
+        self.solver(self.airy_extent)
+        for theorem in BoundQuery.THEOREMS:
+            for s in self.s_grid:
+                evaluate_query(self.query(theorem, s))
 
     def solver(self, extent: Optional[float] = None) -> SolverConfig:
         return SolverConfig(dx=self.dx, dt=self.dt,
@@ -127,13 +151,6 @@ class ExperimentConfig:
         return BoundQuery(theorem=theorem, s=s, T=self.T, eps=self.eps,
                           delta=self.delta, mu=self.mu, zeta=self.zeta,
                           constants=dict(self.constants))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**_config_fields(json.loads(text)))
 
 
 _TUPLE_FIELDS = ("initials", "s_grid", "airy_s", "moments_k", "moments_T")
@@ -261,10 +278,9 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
 def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     """Evaluate every theorem envelope over the s grid (informational)."""
     out = _out_dir(out_dir)
-    s_values = config.s_grid or (0.5, 1.0, 2.0, 4.0, 8.0)
     rows = []
     for theorem in BoundQuery.THEOREMS:
-        for s in s_values:
+        for s in config.s_grid:
             for label, res in evaluate_query(config.query(theorem, s)):
                 rows.append((theorem, label, s, config.T, res.value,
                              "" if res.value_lower is None else res.value_lower,
@@ -379,10 +395,10 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
 
 
 def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
-    """Run every section; with an empty s grid, skip simulation and report.
+    """Run every section.
 
-    Returns a merged summary; overall status is "pass" iff every executed
-    section passed (UNTESTABLE-AT-SCALE cells never fail a run).  The
+    Returns a merged summary; overall status is "pass" iff every section
+    passed (UNTESTABLE-AT-SCALE cells never fail a run).  The
     returned summary also carries each section's wall time ("wall_s"; the
     shared ensembles count to simulate), which is not written to
     summary.json, so the artifacts stay byte-deterministic.
@@ -397,10 +413,9 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
         now = time.perf_counter()
         wall_s[name], lap = now - lap, now
 
-    if config.s_grid:
-        samples = _collect_samples(config, seed)
-        record("simulate", run_simulate(config, seed, out, samples))
-        record("report", run_report(config, seed, out, samples))
+    samples = _collect_samples(config, seed)
+    record("simulate", run_simulate(config, seed, out, samples))
+    record("report", run_report(config, seed, out, samples))
     record("bounds", run_bounds(config, seed, out))
     record("moments", run_moments(config, seed, out))
     record("gibbs", run_gibbs(config, seed, out))

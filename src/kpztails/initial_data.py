@@ -281,14 +281,14 @@ class ScaledHeightSample:
     T: float
     y_grid: np.ndarray
     values: np.ndarray
-    kind: str  # "upsilon", "general", "brownian"
+    kind: str  # "upsilon" or "general"
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y_grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "y_grid", y)
         object.__setattr__(self, "values", v)
-        if self.kind not in ("upsilon", "general", "brownian"):
+        if self.kind not in ("upsilon", "general"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if y.size > 1 and not np.all(np.diff(y) > 0):
             raise ValueError("y_grid must be strictly increasing")
@@ -301,8 +301,9 @@ class ScaledHeightSample:
 def scale_center_height(H, T: float, kind: str, y_grid) -> ScaledHeightSample:
     """Center and scale a height-at-time-2T array sampled at X=(2T)^(2/3) y.
 
-    kind "upsilon" applies (H + T/12)/T^(1/3); "general" and "brownian"
-    subtract the extra (2/3) log(2T).
+    kind "upsilon" (narrow wedge) applies (H + T/12)/T^(1/3); "general"
+    (every other initial data, Brownian included) subtracts the extra
+    (2/3) log(2T).
     """
     H = np.asarray(H, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -311,7 +312,7 @@ def scale_center_height(H, T: float, kind: str, y_grid) -> ScaledHeightSample:
             f"height array has {H.shape[-1]} columns but y_grid has {y_grid.size}"
         )
     center = T / 12.0
-    if kind in ("general", "brownian"):
+    if kind == "general":
         center -= (2.0 / 3.0) * math.log(2.0 * T)
     vals = (H + center) / T ** (1.0 / 3.0)
     return ScaledHeightSample(T=T, y_grid=y_grid, values=vals, kind=kind)

@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 MAX_PARTITION_K = 60
+# largest k that moment_exact evaluates
+MAX_MOMENT_K = 6
 SANDWICH_FACTOR = 69.0
 _THIRD = 1.0 / 3.0
 # exp() overflows just above this; guard before leaving log space
@@ -294,8 +296,8 @@ def moment_exact(k: int, T: float) -> MomentResult:
     reported quad_error bounds the error (checked at k = 2, T = 0.1, 0.2).
     """
     k = operator.index(k)
-    if not 1 <= k <= 6:
-        raise ValueError(f"k must lie in [1, 6], got {k}")
+    if not 1 <= k <= MAX_MOMENT_K:
+        raise ValueError(f"k must lie in [1, {MAX_MOMENT_K}], got {k}")
     if not T > 0.0:
         raise ValueError("T must be > 0")
 

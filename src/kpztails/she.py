@@ -65,20 +65,24 @@ __all__ = [
 
 _THIRD = 1.0 / 3.0
 
+# the field's float type; readouts accumulate in float64
+_DTYPE = "float32"
+
+# replicas in flight, across all worker threads together
+_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Lattice resolution and scheme parameters.
 
     dt defaults to dx^2/4; the explicit heat step requires dt <= dx^2/2.
-    dtype float32 is the Monte Carlo default (readouts accumulate in
-    float64); float64 is for deterministic zero-noise oracles.
+    The field is evolved in _DTYPE whatever the lattice.
     """
 
     dx: float = 0.05
     dt: Optional[float] = None
     extent: float = 8.0
-    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if not self.dx > 0.0:
@@ -89,8 +93,6 @@ class SolverConfig:
             raise ValueError(
                 f"stability requires 0 < dt <= dx^2/2 = {self.dx**2 / 2:g}, "
                 f"got dt = {self.dt:g}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
 
     @property
     def dt_value(self) -> float:
@@ -229,9 +231,6 @@ class EnsembleResult:
     holds the grid-snapped positions actually read.
     """
 
-    T: float
-    seed: int
-    n_replicas: int
     probe_times: np.ndarray
     probe_x: np.ndarray
     Z: np.ndarray
@@ -321,19 +320,18 @@ def solve_she_ensemble(
     n_replicas: int,
     probe_times: Optional[Sequence[float]] = None,
     probe_x: Sequence[float] = (0.0,),
-    chunk: int = 512,
 ) -> EnsembleResult:
     """Evolve n_replicas independent fields, reading out Z at probe points.
 
     Results are a pure function of (seed, n_replicas): replica r draws all
     of its noise from PCG64 seeded with SeedSequence((seed, r)) in fixed
     windows of _WINDOW steps, every operation on the field acts row by
-    row, and readouts are stored in replica order, so neither the chunk
-    size nor the worker count can change them.  Brownian initial data is
+    row, and readouts are stored in replica order, so neither _CHUNK nor
+    the worker count can change them.  Brownian initial data is
     held fixed across replicas (quenched path from the initial condition's
     own seed); the dynamical noise varies.
 
-    chunk bounds the replicas in flight, and so the noise window held in
+    _CHUNK bounds the replicas in flight, and so the noise window held in
     memory, across all workers together: run_row_blocks splits each chunk
     into min(usable_cores(), rows) contiguous row blocks that are evolved
     in parallel threads, and the next chunk starts when all of them are
@@ -360,7 +358,7 @@ def solve_she_ensemble(
     half = round(cfg.extent / cfg.dx)
     x_idx = np.round(x_snap / cfg.dx).astype(int) + half
 
-    Z0 = _initial_Z(initial, T, cfg).astype(cfg.dtype)
+    Z0 = _initial_Z(initial, T, cfg).astype(_DTYPE)
     out = np.empty((n_replicas, times.size, x_snap.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
@@ -372,9 +370,8 @@ def solve_she_ensemble(
             if hit is not None:
                 out[lo:hi, hit, :] = Z[:, x_idx]
 
-    run_row_blocks(run_block, n_replicas, chunk)
-    return EnsembleResult(T=T, seed=seed, n_replicas=n_replicas,
-                          probe_times=step_of * dt, probe_x=x_snap, Z=out)
+    run_row_blocks(run_block, n_replicas, _CHUNK)
+    return EnsembleResult(probe_times=step_of * dt, probe_x=x_snap, Z=out)
 
 
 def boundary_bias_bound(extent: float, t: float, X: float = 0.0,

@@ -83,10 +83,6 @@ class CellVerdict:
     slack: float
     regime: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != VIOLATION
-
 
 def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)

@@ -76,7 +76,7 @@ def brownian_t1_samples():
     for j in range(10):
         res = solve_she_ensemble(BrownianTwoSided(seed=7000 + j), 1.0, cfg,
                                  seed=3000 + j, n_replicas=1000)
-        chunks.append(_upsilon(res, 1.0, "brownian"))
+        chunks.append(_upsilon(res, 1.0, "general"))
     return np.concatenate(chunks)
 
 

@@ -138,11 +138,12 @@ class TestNwUpperTail:
         assert r.regime == "i"
         assert r.c1 == pytest.approx(1.73333, abs=1e-5)
         assert r.c2 == pytest.approx(0.93333, abs=1e-5)
-        assert r.pair == (pytest.approx(math.exp(-4 / 3 * 1.3), rel=1e-12),
-                          pytest.approx(math.exp(-4 / 3 * 0.7), rel=1e-12))
+        assert (r.value_lower, r.value) == (
+            pytest.approx(math.exp(-4 / 3 * 1.3), rel=1e-12),
+            pytest.approx(math.exp(-4 / 3 * 0.7), rel=1e-12))
         # five-digit reference: (0.17669, 0.39324)
-        assert r.pair == (pytest.approx(0.17668, abs=2e-5),
-                          pytest.approx(0.39326, abs=2e-5))
+        assert (r.value_lower, r.value) == (pytest.approx(0.17668, abs=2e-5),
+                                            pytest.approx(0.39326, abs=2e-5))
 
     def test_reference_regime_ii_coefficient(self):
         r = nw_upper_tail(100.0, 4.0, 0.3)
@@ -297,6 +298,13 @@ class TestQueryDispatch:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             BoundQuery(theorem="not_a_family", s=1.0, T=1.0)
+
+    @pytest.mark.parametrize("s, T", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_threshold_or_time_rejected(self, s, T):
+        # a NaN threshold would count no hits and read CONSISTENT
+        with pytest.raises(ValueError, match="finite and positive"):
+            BoundQuery("nw_lower", s=s, T=T)
 
     def test_result_rejects_inverted_coefficients(self):
         with pytest.raises(ValueError):

@@ -76,16 +76,28 @@ class TestMain:
         ('["n_samples"]', "config must be a JSON object"),
         ('{"n_samples": ', "Expecting value"),
         (None, "No such file"),
+        # the whole config is checked before any section runs
+        ('{"s_grid": [1.0, NaN]}', "finite and positive"),
+        ('{"T": Infinity}', "finite and positive"),
+        ('{"s_grid": ["1"]}', "must be real number, not str"),
+        ('{"dt": 0.01}', "stability requires"),
+        ('{"alpha": 2}', "alpha must lie in (0, 1)"),
+        ('{"moments_k": [7]}', "moments_k must lie in [1, 6]"),
+        ('{"moments_k": []}', "empty grids: ['moments_k']"),
+        ('{"initials": []}', "empty grids: ['initials']"),
+        ('{"airy_s": []}', "empty grids: ['airy_s']"),
+        ('{"constants": {"k": 5}}', "unknown constants: ['k']"),
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         if text is not None:
             path.write_text(text)
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            cli.main(["bounds", "--config", str(path),
-                      "--out-dir", str(tmp_path)])
+            cli.main(["report", "--config", str(path), "--out-dir", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

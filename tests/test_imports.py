@@ -52,9 +52,7 @@ def unused_imports(path: Path) -> list:
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export
-    files = [p for p in sorted((SRC / "kpztails").glob("*.py"))
-             if p.name != "__init__.py"]
+    files = sorted((SRC / "kpztails").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     found = {str(p.relative_to(ROOT)): unused_imports(p) for p in files}
     found = {path: names for path, names in found.items() if names}

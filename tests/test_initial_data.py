@@ -206,7 +206,7 @@ class TestScaleCenterHeight:
     @given(
         c=st.floats(-5, 5),
         T=st.floats(0.1, 8.0),
-        kind=st.sampled_from(["upsilon", "general", "brownian"]),
+        kind=st.sampled_from(["upsilon", "general"]),
     )
     def test_affine_in_height(self, c, T, kind):
         y = np.array([-1.0, 0.0, 1.0])
@@ -214,13 +214,6 @@ class TestScaleCenterHeight:
         base = scale_center_height(H, T, kind, y).values
         shifted = scale_center_height(H + c, T, kind, y).values
         assert shifted == pytest.approx(base + c / T ** (1 / 3), rel=1e-12, abs=1e-12)
-
-    def test_brownian_kind_matches_general_centering(self):
-        y = np.array([0.0])
-        H = np.array([0.4])
-        a = scale_center_height(H, 2.0, "general", y).values
-        b = scale_center_height(H, 2.0, "brownian", y).values
-        assert np.array_equal(a, b)
 
 
 class TestScaledHeightSample:

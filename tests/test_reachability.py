@@ -1,6 +1,6 @@
-"""Every top-level definition of the library is reached by a run, a claim
-or the benchmark, or is pending with the ROADMAP direction that will wire
-it.
+"""Every top-level definition of the library, and every method and
+property of its classes, is reached by a run, a claim or the benchmark, or
+is pending with the ROADMAP direction that will wire it.
 
 Reachability is a closure over names.  The roots are every file in
 perfbench/, tests/test_acceptance.py, the module-level code of each source
@@ -12,6 +12,18 @@ are not references.  Code that only its own unit tests call, or that only
 other unreached code calls, is therefore unreached: it either gets wired
 into a check that can fail, or it is deleted together with its tests.  A
 definition that only PENDING items reach is pending with them.
+
+A method or property (any function in a class body other than a dunder)
+of a reached class is reached when its own name is referenced by a root or
+by a reached definition or member; the rest of a class body counts with
+the class, and a class that is not reached takes its members with it.
+
+Blind spot: names are matched whatever object they are read from, so a
+member passes as soon as reached code reads any attribute of the same
+name.  Two members that only unit tests used stood for that reason until
+they were deleted: ExperimentConfig.to_json (perfbench calls its Tracer's
+to_json) and CellVerdict.passed (claims c09 and c12 read the passed of a
+DominanceReport and an FKGReport).
 """
 
 import ast
@@ -33,7 +45,8 @@ PENDING = {
 # cli.main, the kpz-tails entry point in pyproject.toml
 ENTRY = "main"
 
-_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITION = _FUNCTION + (ast.ClassDef,)
 
 
 def _parse(path: Path) -> ast.Module:
@@ -60,20 +73,48 @@ def _references(nodes) -> set:
     return refs
 
 
+def _members(node) -> dict:
+    """A class's methods and properties by name, dunders excluded."""
+    if not isinstance(node, ast.ClassDef):
+        return {}
+    return {m.name: m for m in node.body
+            if isinstance(m, _FUNCTION)
+            and not (m.name.startswith("__") and m.name.endswith("__"))}
+
+
+def _shell(node) -> list:
+    """The parts of a definition that count with it: all of a function,
+    and a class without its methods and properties."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    members = list(_members(node).values())
+    return node.bases + node.decorator_list + [
+        n for n in node.body if n not in members]
+
+
 def _closure(names, definitions: dict) -> set:
-    """The definitions that `names` reach, directly or through the bodies
-    of definitions they reach."""
-    reached = set()
-    todo = set(names) & definitions.keys()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        todo |= (_references([definitions[name]]) & definitions.keys()) - reached
+    """The definitions, and the "Class.member" keys of their methods and
+    properties, that `names` reach, directly or through the bodies of what
+    they reach."""
+    refs, reached = set(names), set()
+    grown = True
+    while grown:
+        grown = False
+        for name in refs & definitions.keys():
+            node = definitions[name]
+            units = [(name, _shell(node))] + [
+                (f"{name}.{m}", [member])
+                for m, member in _members(node).items() if m in refs]
+            for key, unit in units:
+                if key not in reached:
+                    reached.add(key)
+                    refs |= _references(unit)
+                    grown = True
     return reached
 
 
 def reachability() -> tuple:
-    """(unreached definitions, definitions that PENDING items reach)."""
+    """(unreached definitions and members, those that PENDING items reach)."""
     definitions, roots = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in _parse(path).body:
@@ -84,7 +125,10 @@ def reachability() -> tuple:
     roots += [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
     roots.append(_parse(ROOT / "tests" / "test_acceptance.py"))
     reached = _closure(_references(roots) | {ENTRY}, definitions)
-    return set(definitions) - reached, _closure(PENDING, definitions)
+    # a class that is not reached is unreached or pending as a whole
+    members = {f"{name}.{m}" for name in reached & definitions.keys()
+               for m in _members(definitions[name])}
+    return (set(definitions) | members) - reached, _closure(PENDING, definitions)
 
 
 def test_library_definitions_are_reached_or_pending():

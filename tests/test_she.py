@@ -61,9 +61,14 @@ def zero_noise(monkeypatch):
     monkeypatch.setattr(she, "_window_multipliers", ones)
 
 
+@pytest.fixture
+def float64(monkeypatch):
+    """The solver evolves the field in float64, for deterministic oracles."""
+    monkeypatch.setattr(she, "_DTYPE", "float64")
+
+
 def readout(Z):
-    return EnsembleResult(T=0.5, seed=0, n_replicas=1,
-                          probe_times=np.array([1.0]),
+    return EnsembleResult(probe_times=np.array([1.0]),
                           probe_x=np.zeros(np.shape(Z)[-1]),
                           Z=np.asarray(Z, dtype=float).reshape(1, 1, -1))
 
@@ -97,8 +102,6 @@ class TestSolverConfig:
             SolverConfig(dx=0.0)
         with pytest.raises(ValueError):
             SolverConfig(dx=0.1, extent=0.05)
-        with pytest.raises(ValueError):
-            SolverConfig(dtype="float16")
 
 
 class TestColeHopf:
@@ -115,13 +118,13 @@ class TestColeHopf:
         assert H[x.size // 2] == pytest.approx(LOG_INV_SQRT_2PI, rel=1e-12)
 
 
-@pytest.mark.usefixtures("zero_noise")
+@pytest.mark.usefixtures("zero_noise", "float64")
 class TestZeroNoise:
     def test_flat_interior_fixed_exactly(self):
         # The Dirichlet edge decays from step one, but the contamination
         # spreads a single site per step, so after k steps everything more
         # than k sites from either wall is still bitwise 1.0.
-        cfg = SolverConfig(dx=0.05, extent=4.0, dtype="float64")
+        cfg = SolverConfig(dx=0.05, extent=4.0)
         steps = 50
         T = steps * cfg.dt_value / 2.0
         Z = final_field(Flat(), T, cfg)
@@ -129,7 +132,7 @@ class TestZeroNoise:
         assert Z[0] < 0.5  # boundary layer is real, not an artifact
 
     def test_flat_constant_away_from_boundary(self):
-        cfg = SolverConfig(dx=0.05, extent=8.0, dtype="float64")
+        cfg = SolverConfig(dx=0.05, extent=8.0)
         Z = final_field(Flat(), 0.5, cfg)
         center = Z.size // 2
         assert abs(Z[center] - 1.0) <= 1e-12
@@ -137,7 +140,7 @@ class TestZeroNoise:
         assert np.max(np.abs(Z[inner] - 1.0)) <= 1e-4
 
     def test_narrow_wedge_matches_heat_kernel(self):
-        cfg = SolverConfig(dx=0.05, extent=4.0, dtype="float64")
+        cfg = SolverConfig(dx=0.05, extent=4.0)
         Z = final_field(NarrowWedge(), 0.5, cfg)
         x = cfg.x_grid
         kern = heat_kernel(x, 1.0)
@@ -149,7 +152,7 @@ class TestZeroNoise:
         assert abs(Z[origin] - kern[origin]) / kern[origin] <= 2e-4
 
     def test_mass_conserved_for_decaying_data(self):
-        cfg = SolverConfig(dx=0.05, extent=8.0, dtype="float64")
+        cfg = SolverConfig(dx=0.05, extent=8.0)
         Z = final_field(NarrowWedge(), 0.5, cfg)
         assert abs(np.sum(Z) * cfg.dx - 1.0) <= 1e-10
         edge = np.sum(Z[:10]) + np.sum(Z[-10:])  # within 10 sites of a wall
@@ -160,7 +163,7 @@ class TestZeroNoise:
     def test_equals_repeated_heat_steps_bitwise(self, initial):
         # with every noise multiplier exactly 1.0 the solver is the plain
         # heat step, bit for bit; 300 steps span two noise windows
-        cfg = SolverConfig(dx=0.1, dt=2.5e-3, extent=2.0, dtype="float64")
+        cfg = SolverConfig(dx=0.1, dt=2.5e-3, extent=2.0)
         steps, T = 300, 0.375
         Z = np.ones(cfg.n_sites)
         if isinstance(initial, NarrowWedge):
@@ -174,7 +177,7 @@ class TestZeroNoise:
         assert np.array_equal(final_field(initial, T, cfg), Z)
 
     def test_time_step_override(self):
-        cfg = SolverConfig(dx=0.1, dt=0.1**2 / 2.0, extent=2.0, dtype="float64")
+        cfg = SolverConfig(dx=0.1, dt=0.1**2 / 2.0, extent=2.0)
         res = solve_she_ensemble(Flat(), T=0.25, cfg=cfg, seed=0, n_replicas=1,
                                  probe_x=cfg.x_grid)
         assert res.probe_times[-1] == pytest.approx(0.5)
@@ -218,11 +221,13 @@ class TestEnsemble:
                                n_replicas=16)
         assert np.array_equal(a.Z, b.Z)
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(she, "_CHUNK", 3)
         a = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
-                               n_replicas=10, chunk=3)
+                               n_replicas=10)
+        monkeypatch.setattr(she, "_CHUNK", 512)
         b = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
-                               n_replicas=10, chunk=512)
+                               n_replicas=10)
         assert np.array_equal(a.Z, b.Z)
 
     def test_noise_blocking_does_not_change_results(self, monkeypatch):
@@ -234,21 +239,26 @@ class TestEnsemble:
         assert np.array_equal(a.Z, b.Z)
 
     @pytest.mark.parametrize("initial, T, cfg, n, chunk", [
-        # odd replica count, float64 lattice
-        (NarrowWedge(), 0.5, SolverConfig(dx=0.1, dt=2e-3, extent=2.0,
-                                          dtype="float64"), 11, 512),
+        # odd replica count, float64 field (cfg names the field's dtype)
+        (NarrowWedge(), 0.5, (SolverConfig(dx=0.1, dt=2e-3, extent=2.0),
+                              "float64"), 11, 512),
         # chunks of two rows, fewer than three workers
-        (Flat(), 0.5, SolverConfig(dx=0.1, dt=2e-3, extent=2.0), 7, 2),
-        (BrownianTwoSided(seed=5), 0.5, SolverConfig(dx=0.1, dt=2e-3,
-                                                     extent=2.0), 9, 4),
+        (Flat(), 0.5, (SolverConfig(dx=0.1, dt=2e-3, extent=2.0),
+                       "float32"), 7, 2),
+        (BrownianTwoSided(seed=5), 0.5, (SolverConfig(dx=0.1, dt=2e-3,
+                                                      extent=2.0),
+                                         "float32"), 9, 4),
     ])
     def test_worker_count_does_not_change_results(self, monkeypatch, initial,
                                                   T, cfg, n, chunk):
+        cfg, dtype = cfg
+        monkeypatch.setattr(she, "_DTYPE", dtype)
+        monkeypatch.setattr(she, "_CHUNK", chunk)
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(she, "usable_cores", lambda: workers)
             runs.append(solve_she_ensemble(initial, T=T, cfg=cfg, seed=4,
-                                           n_replicas=n, chunk=chunk).Z)
+                                           n_replicas=n).Z)
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
 
@@ -274,9 +284,11 @@ class TestEnsemble:
             lap = padded[2:] + padded[:-2] - np.float32(2.0) * row
             assert np.array_equal(got, lam * lap + row)
 
-    def test_replica_prefix_property(self):
+    def test_replica_prefix_property(self, monkeypatch):
+        monkeypatch.setattr(she, "_CHUNK", 4)
         a = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
-                               n_replicas=10, chunk=4)
+                               n_replicas=10)
+        monkeypatch.undo()
         b = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
                                n_replicas=6)
         assert np.array_equal(a.Z[:6], b.Z)
@@ -331,8 +343,7 @@ class TestEnsemble:
                                n_replicas=2)
 
     def test_height_readout_guards_positivity(self):
-        res = EnsembleResult(T=0.5, seed=0, n_replicas=1,
-                             probe_times=np.array([1.0]),
+        res = EnsembleResult(probe_times=np.array([1.0]),
                              probe_x=np.array([0.0]),
                              Z=np.array([[[0.0]]]))
         with pytest.raises(FloatingPointError, match="nonpositive"):

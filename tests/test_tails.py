@@ -207,7 +207,6 @@ class TestReportVerdicts:
         row = rows[0]
         assert row.direction == "upper"
         assert row.verdict == CONSISTENT
-        assert row.passed
         assert row.envelope == min(row.envelope_raw, 1.0)
         assert row.ci_lo <= row.estimate <= row.ci_hi
 
@@ -234,7 +233,6 @@ class TestReportVerdicts:
                                       [_query("nw_lower", 40.0)])
         assert row.n * row.envelope < MIN_EXPECTED_HITS
         assert row.verdict == VIOLATION
-        assert not row.passed
 
     def test_check_lower_flags_failed_lower_envelope(self):
         # nw_lower's companion lower envelope with unit constants is far
