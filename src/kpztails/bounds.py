@@ -70,12 +70,20 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
         raise ValueError(f"{name} must lie in ({lo}, {hi}), got {value}")
 
 
+def _pow(s: float, p: float) -> float:
+    """s ** p, or inf past the float range, where exp(-c s^p) is exactly 0."""
+    try:
+        return s ** p
+    except OverflowError:
+        return math.inf
+
+
 def _lower_tail_terms(s: float, T: float, eps: float, delta: float, K: float):
     """The three summands of the general lower-tail envelope."""
     t13 = T ** (1.0 / 3.0)
-    e1 = t13 * 4.0 * (1.0 - eps) * s ** 2.5 / (15.0 * math.pi)
-    e2 = K * s ** (3.0 - delta) + eps * s * t13
-    e3 = (1.0 - eps) * s**3 / 12.0
+    e1 = t13 * 4.0 * (1.0 - eps) * _pow(s, 2.5) / (15.0 * math.pi)
+    e2 = K * _pow(s, 3.0 - delta) + eps * s * t13
+    e3 = (1.0 - eps) * _pow(s, 3) / 12.0
     return (math.exp(-e1), math.exp(-e2), math.exp(-e3))
 
 
@@ -110,8 +118,8 @@ def nw_lower_tail(s: float, T: float, eps: float, delta: float,
     if K2 <= 0:
         raise ValueError("K2 must be positive")
     t13 = T ** (1.0 / 3.0)
-    lo = (math.exp(-t13 * 4.0 * s**2.5 * (1.0 + eps) / (15.0 * math.pi))
-          + math.exp(-K2 * s**3))
+    lo = (math.exp(-t13 * 4.0 * _pow(s, 2.5) * (1.0 + eps) / (15.0 * math.pi))
+          + math.exp(-K2 * _pow(s, 3)))
     lower = BoundResult(value=lo, regime=upper.regime)
     return upper, lower
 
@@ -174,7 +182,7 @@ def nw_upper_tail(s: float, T: float, eps: float,
         c1, c2 = 4.0 * math.sqrt(3.0) * (1.0 + eps), (4.0 / 3.0) * (1.0 - eps)
     else:
         c1, c2 = 2.0**3.5 / eps**3, (4.0 / 3.0) * eps
-    s32 = s**1.5
+    s32 = _pow(s, 1.5)
     return BoundResult(value=math.exp(-c2 * s32), regime=regime, c1=c1, c2=c2,
                        value_lower=math.exp(-c1 * s32))
 
@@ -202,7 +210,7 @@ def general_upper_tail(s: float, T: float, eps: float, mu: float,
     else:
         c1 = 2.0**4.5 / eps**3 * (1.0 + mu)
         c2 = root2_3 * (1.0 - mu) * eps
-    s32 = s**1.5
+    s32 = _pow(s, 1.5)
     return BoundResult(value=math.exp(-c2 * s32), regime=regime, c1=c1, c2=c2,
                        value_lower=math.exp(-c1 * s32))
 
@@ -218,7 +226,7 @@ def brownian_upper_tail(s: float, T: float, eps: float, mu: float,
     base = general_upper_tail(s, T, eps, mu, s0=s0)
     if base.regime == "none":
         return base
-    extra = math.exp(-((mu * s) ** 1.5) / (9.0 * math.sqrt(3.0)))
+    extra = math.exp(-_pow(mu * s, 1.5) / (9.0 * math.sqrt(3.0)))
     return BoundResult(value=base.value + extra, regime=base.regime,
                        c1=base.c1, c2=base.c2, value_lower=base.value_lower,
                        validity_note=base.validity_note)
@@ -235,7 +243,7 @@ def nw_upper_laplace_bounds(s: float, T: float, eps: float, zeta: float):
     if not 0.0 < zeta <= eps < 1.0:
         raise ValueError(f"need 0 < zeta <= eps < 1, got zeta={zeta}, eps={eps}")
     t13 = T ** (1.0 / 3.0)
-    s32 = s**1.5
+    s32 = _pow(s, 1.5)
     upper = math.exp(-t13 * zeta * s) + math.exp(-(4.0 / 3.0) * (1.0 - eps) * s32)
     lower_side = (math.exp(-t13 * (1.0 + zeta) * s)
                   + math.exp(-(4.0 / 3.0) * (1.0 + eps) * s32))

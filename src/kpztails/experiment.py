@@ -9,8 +9,9 @@ timestamps or environment data enter the outputs.
 Sections and the acceptance checks they exercise at the configured scale:
 simulate (first-moment oracle), bounds (envelope tables for every
 theorem), moments (closed form k=1 and the psi sandwich), gibbs (free
-resampler vs free bridge), airy (Laplace identity lhs vs rhs), report
-(tail CIs vs clamped envelopes with UNTESTABLE-AT-SCALE labeling).
+resampler vs free bridge), airy (Laplace identity at T on simulate's
+narrow-wedge samples), report (tail CIs vs clamped envelopes with
+UNTESTABLE-AT-SCALE labeling).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 # every RNG stream of a run: stream `name` of seed s is seeded s*10 + number
-_STREAM = {"narrow_wedge": 0, "flat": 1, "brownian": 2, "airy_sim": 3,
-           "airy_edge": 4, "gibbs": 5, "brownian_path": 7}
+_STREAM = {"narrow_wedge": 0, "flat": 1, "brownian": 2, "airy_edge": 4,
+           "gibbs": 5, "brownian_path": 7}
 
 
 def _stream_seed(seed: int, name: str) -> int:
@@ -101,12 +102,10 @@ class ExperimentConfig:
     extent: float = 4.0
     gibbs_n: int = 200
     gibbs_wall: float = -0.3
-    airy_n: int = 300
+    airy_n: int = 300  # GUE draws of the Laplace right-hand side
     airy_N: int = 512
     airy_K: int = 10
-    airy_T: float = 2.0
     airy_s: tuple = (-1.0, 0.0, 1.0)
-    airy_extent: float = 4.0
     moments_k: tuple = (1, 2)
     moments_T: tuple = (1.0, 4.0)
 
@@ -122,9 +121,8 @@ class ExperimentConfig:
         bad = [i for i in self.initials if i not in _INITIAL]
         if bad:
             raise ValueError(f"unknown initial data names: {bad}")
-        if not all(math.isfinite(t) and t > 0.0
-                   for t in (self.airy_T, *self.moments_T)):
-            raise ValueError("airy_T and moments_T must be finite and positive")
+        if not all(math.isfinite(t) and t > 0.0 for t in self.moments_T):
+            raise ValueError("moments_T must be finite and positive")
         if not all(math.isfinite(s) for s in self.airy_s):
             raise ValueError("airy_s levels must be finite")
         if not 0.0 < self.alpha < 1.0:
@@ -138,14 +136,12 @@ class ExperimentConfig:
                              f"choose from {sorted(DEFAULT_CONSTANTS)}")
         # build what the runners build, so that their own checks run now
         self.solver()
-        self.solver(self.airy_extent)
         for theorem in BoundQuery.THEOREMS:
             for s in self.s_grid:
                 evaluate_query(self.query(theorem, s))
 
-    def solver(self, extent: Optional[float] = None) -> SolverConfig:
-        return SolverConfig(dx=self.dx, dt=self.dt,
-                            extent=self.extent if extent is None else extent)
+    def solver(self) -> SolverConfig:
+        return SolverConfig(dx=self.dx, dt=self.dt, extent=self.extent)
 
     def query(self, theorem: str, s: float) -> BoundQuery:
         return BoundQuery(theorem=theorem, s=s, T=self.T, eps=self.eps,
@@ -223,23 +219,20 @@ def _summarize(out: Path, command: str, config: ExperimentConfig, seed: int,
     return summary
 
 
-def _height_samples(config: ExperimentConfig, seed: int, initial: str,
-                    stream: str, T: float, n: int,
-                    extent: Optional[float]) -> np.ndarray:
-    """Centered/scaled one-point height samples at X = 0 for one initial,
-    from an n-replica ensemble on the run's RNG stream `stream`."""
-    init = _INITIAL[initial]
-    res = solve_she_ensemble(
-        init.data(seed), T, config.solver(extent),
-        seed=_stream_seed(seed, stream), n_replicas=n)
-    H = res.H[:, -1, :]  # final probe time, X = 0 column
-    return scale_center_height(H, T, init.kind, y_grid=[0.0]).values[:, 0]
-
-
-def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
-    return {name: _height_samples(config, seed, name, name, config.T,
-                                  config.n_samples, None)
-            for name in config.initials}
+def _collect_samples(config: ExperimentConfig, seed: int,
+                     initials: Sequence[str]) -> dict:
+    """Centered/scaled one-point height samples at X = 0 per initial, each
+    from an n_samples-replica ensemble at T on the initial's RNG stream."""
+    samples = {}
+    for name in initials:
+        init = _INITIAL[name]
+        res = solve_she_ensemble(
+            init.data(seed), config.T, config.solver(),
+            seed=_stream_seed(seed, name), n_replicas=config.n_samples)
+        H = res.H[:, -1, :]  # final probe time, X = 0 column
+        samples[name] = scale_center_height(H, config.T, init.kind,
+                                            y_grid=[0.0]).values[:, 0]
+    return samples
 
 
 def run_simulate(config: ExperimentConfig, seed: int, out_dir,
@@ -247,7 +240,7 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
     """Sample scaled heights per initial condition; check the Z first moment."""
     out = _out_dir(out_dir)
     if samples is None:
-        samples = _collect_samples(config, seed)
+        samples = _collect_samples(config, seed, config.initials)
     checks, artifacts = {}, []
     t13 = config.T ** (1.0 / 3.0)
     exact = 1.0 / (2.0 * math.sqrt(math.pi * config.T))
@@ -343,22 +336,23 @@ def run_gibbs(config: ExperimentConfig, seed: int, out_dir) -> dict:
                       max_weight=float(res.max_weight))
 
 
-def run_airy(config: ExperimentConfig, seed: int, out_dir) -> dict:
-    """Laplace identity: simulated lhs vs GUE-edge rhs at each level."""
+def run_airy(config: ExperimentConfig, seed: int, out_dir,
+             samples: Optional[dict] = None) -> dict:
+    """Laplace identity: simulated narrow-wedge lhs vs GUE-edge rhs per level."""
     out = _out_dir(out_dir)
-    ups = _height_samples(config, seed, "narrow_wedge", "airy_sim",
-                          config.airy_T, config.airy_n, config.airy_extent)
+    if samples is None or "narrow_wedge" not in samples:
+        samples = _collect_samples(config, seed, ("narrow_wedge",))
     edges = sample_gue_edge_many(config.airy_N, config.airy_K,
                                  seed=_stream_seed(seed, "airy_edge"),
                                  n_samples=config.airy_n)
     rows, ok = [], True
     for s in config.airy_s:
-        lhs = laplace_lhs(ups, s=s, T=config.airy_T)
-        rhs = laplace_rhs(edges, s=s, T=config.airy_T)
+        lhs = laplace_lhs(samples["narrow_wedge"], s=s, T=config.T)
+        rhs = laplace_rhs(edges, s=s, T=config.T)
         within = bool(abs(lhs.value - rhs.value)
                       <= 3.0 * (lhs.se + rhs.se) + 0.05)
         ok = ok and within
-        rows.append((s, config.airy_T, lhs.value, rhs.value, lhs.se, rhs.se,
+        rows.append((s, config.T, lhs.value, rhs.value, lhs.se, rhs.se,
                      rhs.truncation_bound, within))
     path = out / "airy.csv"
     _write_csv(path, ["s", "T", "lhs", "rhs", "se_lhs", "se_rhs",
@@ -373,7 +367,7 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     """Tail CIs vs clamped envelopes for every initial's theorem pair."""
     out = _out_dir(out_dir)
     if samples is None:
-        samples = _collect_samples(config, seed)
+        samples = _collect_samples(config, seed, config.initials)
     rows = []
     counts = {"CONSISTENT": 0, "VIOLATION": 0, "UNTESTABLE-AT-SCALE": 0}
     for name in config.initials:
@@ -413,13 +407,13 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
         now = time.perf_counter()
         wall_s[name], lap = now - lap, now
 
-    samples = _collect_samples(config, seed)
+    samples = _collect_samples(config, seed, config.initials)
     record("simulate", run_simulate(config, seed, out, samples))
     record("report", run_report(config, seed, out, samples))
     record("bounds", run_bounds(config, seed, out))
     record("moments", run_moments(config, seed, out))
     record("gibbs", run_gibbs(config, seed, out))
-    record("airy", run_airy(config, seed, out))
+    record("airy", run_airy(config, seed, out, samples))
     status = "pass" if all(s["status"] == "pass"
                            for s in sections.values()) else "fail"
     summary = {

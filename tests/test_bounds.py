@@ -306,6 +306,18 @@ class TestQueryDispatch:
         with pytest.raises(ValueError, match="finite and positive"):
             BoundQuery("nw_lower", s=s, T=T)
 
+    @pytest.mark.parametrize("T", [1.0, 4.0])
+    @pytest.mark.parametrize("s", [1e200, 1e300])
+    @pytest.mark.parametrize("theorem", BoundQuery.THEOREMS)
+    def test_huge_threshold_envelopes_vanish(self, theorem, s, T):
+        # s^3 or s^1.5 passes the float range: every envelope that is not
+        # vacuous is exactly 0
+        q = BoundQuery(theorem, s=s, T=T)
+        for _, r in evaluate_query(q):
+            vacuous = r.regime == "none" and q.side == "upper"
+            assert r.value == (math.inf if vacuous else 0.0)
+            assert r.value_lower in (None, 0.0)
+
     def test_result_rejects_inverted_coefficients(self):
         with pytest.raises(ValueError):
             BoundResult(value=0.5, regime="i", c1=0.1, c2=0.9)

@@ -11,7 +11,7 @@ from kpztails import cli, she
 
 TINY = {"n_samples": 60, "s_grid": [1.0, 2.0], "gibbs_n": 20, "airy_n": 40,
         "airy_N": 128, "airy_K": 6, "moments_k": [1, 2], "moments_T": [1.0],
-        "extent": 3.0, "airy_extent": 3.0}
+        "extent": 3.0}
 
 
 @pytest.fixture()
@@ -72,6 +72,7 @@ class TestMain:
 
     @pytest.mark.parametrize("text, message", [
         ('{"bogus": 1}', "unknown config fields: ['bogus']"),
+        ('{"airy_T": 2}', "unknown config fields: ['airy_T']"),
         ('{"n_samples": 1}', "sample counts must be at least 2"),
         ('["n_samples"]', "config must be a JSON object"),
         ('{"n_samples": ', "Expecting value"),
@@ -98,6 +99,14 @@ class TestMain:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_threshold_reports(self, tmp_path):
+        # every envelope term is exactly 0 at s = 1e200, not an overflow
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "s_grid": [1e200]}))
+        rc = cli.main(["report", "--config", str(path),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
 
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -5,16 +5,18 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kpztails import experiment
+from kpztails.airy import laplace_lhs
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
-                                 run_all, run_gibbs, run_moments)
+                                 run_airy, run_all, run_gibbs, run_moments)
 
 # small enough for the whole bundle to run in about a second
 TINY = dict(n_samples=60, s_grid=(1.0, 2.0), gibbs_n=20, airy_n=40,
             airy_N=128, airy_K=6, moments_k=(1, 2), moments_T=(1.0,),
-            extent=3.0, airy_extent=3.0)
+            extent=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +37,24 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _read_samples(path):
+    _, rows = _read_csv(path)
+    return np.array([float(r[1]) for r in rows])
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(initials=("wedge",)),
         dict(n_samples=1),
         dict(T=0.0),
         dict(s_grid=(1.0, -2.0)),
-        dict(airy_T=-1.0),
         # tail thresholds and times must be finite as well as positive
         dict(s_grid=(1.0, math.nan)),
         dict(s_grid=(math.inf,)),
         dict(T=math.inf),
-        dict(airy_T=math.inf),
         # the lattices the runners build
         dict(dt=0.01),
         dict(extent=0.01),
-        dict(airy_extent=0.01),
         # the envelope parameters every theorem family checks
         dict(eps=0.4),
         dict(mu=0.6),
@@ -119,7 +123,6 @@ class TestConfig:
     def test_solver_uses_config_lattice(self, tiny_cfg):
         sc = tiny_cfg.solver()
         assert sc.dx == tiny_cfg.dx and sc.extent == tiny_cfg.extent
-        assert tiny_cfg.solver(extent=5.0).extent == 5.0
 
     def test_query_uses_config_parameters(self):
         cfg = ExperimentConfig(T=4.0, eps=0.2, delta=0.15, mu=0.25, zeta=0.1,
@@ -204,6 +207,15 @@ class TestBundle:
             assert abs(lhs - rhs) <= 3.0 * (se_l + se_r) + 0.05
             assert 0.0 <= lhs <= 1.0 and 0.0 <= rhs <= 1.0
 
+    def test_airy_judges_the_narrow_wedge_samples(self, bundle, tiny_cfg):
+        out, _ = bundle
+        ups = _read_samples(out / "samples_narrow_wedge.csv")
+        _, rows = _read_csv(out / "airy.csv")
+        for r in rows:
+            s, T = float(r[0]), float(r[1])
+            assert T == tiny_cfg.T
+            assert float(r[2]) == laplace_lhs(ups, s=s, T=T).value
+
     def test_report_artifact(self, bundle, tiny_cfg):
         out, _ = bundle
         header, rows = _read_csv(out / "report.csv")
@@ -249,11 +261,32 @@ class TestGibbsCheck:
         assert summary["status"] == "fail"
 
 
+class TestAiryCheck:
+    def test_shifted_samples_fail(self, bundle, tiny_cfg, tmp_path):
+        out, _ = bundle
+        ups = _read_samples(out / "samples_narrow_wedge.csv")
+        summary = run_airy(tiny_cfg, 0, tmp_path,
+                           samples={"narrow_wedge": ups + 5.0})
+        assert summary["checks"] == {"laplace_identity": False}
+        assert summary["status"] == "fail"
+
+    @pytest.mark.parametrize("initials", [("narrow_wedge", "flat", "brownian"),
+                                          ("flat",)])
+    def test_standalone_matches_bundle(self, bundle, tiny_cfg, tmp_path,
+                                       initials):
+        # without samples, the section simulates the narrow wedge on its
+        # own stream, so it writes what run_all writes
+        out, _ = bundle
+        run_airy(replace(tiny_cfg, initials=initials), 0, tmp_path)
+        assert ((tmp_path / "airy.csv").read_bytes()
+                == (out / "airy.csv").read_bytes())
+
+
 class TestStreams:
     def test_seeds_share_no_solver_stream(self, tiny_cfg, tmp_path,
                                           monkeypatch):
-        # every ensemble of a run, the airy one included, must draw from
-        # replica streams that no ensemble of another seed draws from
+        # a run makes one ensemble per initial, and each draws from replica
+        # streams that no ensemble of another seed draws from
         real = experiment.solve_she_ensemble
         seeds = []
 
@@ -267,7 +300,7 @@ class TestStreams:
             seeds.clear()
             run_all(tiny_cfg, seed, tmp_path / str(seed))
             used[seed] = set(seeds)
-            assert len(used[seed]) == len(seeds) == 4
+            assert len(used[seed]) == len(seeds) == len(tiny_cfg.initials)
         assert used[0].isdisjoint(used[3]), (used[0], used[3])
 
 
