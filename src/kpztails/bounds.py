@@ -13,8 +13,11 @@ _FAMILIES is the theorem table: for each family, in the order of
 BoundQuery.THEOREMS, the tail of the scaled height it bounds and the
 envelope call that evaluate_query makes.  Lower-tail envelopes bound
 P(height <= -s); upper-tail envelopes bound P(height >= s); the
-Laplace-route family bounds no tail probability.  Two-sided statements produce a (value_lower, value) pair
-with e^(-c1 s^(3/2)) <= P <= e^(-c2 s^(3/2)), c1 > c2.  The coefficient
+Laplace-route family bounds no tail probability.  Each query gives one
+BoundResult: value bounds the family's quantity from above, and
+value_lower bounds it from below when the statement is two-sided (the
+upper tails, e^(-c1 s^(3/2)) <= P <= e^(-c2 s^(3/2)) with c1 > c2; the
+narrow-wedge lower tail; the Laplace route).  The coefficient
 regimes i/ii/iii split on how s compares to T^(2/3); they are only asserted
 for T > pi, and below that the result carries regime "none" with a vacuous
 envelope (inf raw, clamping to 1).  Lower-tail results are labelled by the
@@ -44,10 +47,10 @@ DEFAULT_CONSTANTS = MappingProxyType({"K": 1.0, "K1": 1.0, "K2": 1.0,
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Envelope value plus regime/coefficient metadata.
+    """One theorem statement's envelope plus regime/coefficient metadata.
 
-    value is the upper envelope on the tail probability; value_lower, when
-    present, is the matching lower envelope of a two-sided statement.
+    value bounds the family's quantity from above; value_lower, when the
+    statement is two-sided, bounds it from below.
     """
 
     value: float
@@ -58,9 +61,11 @@ class BoundResult:
     validity_note: str = NOTE_CONSTANTS
 
     def __post_init__(self) -> None:
-        # mathematically > 0; exact 0.0 is float underflow at huge s
-        if not (self.value >= 0 or math.isinf(self.value) or math.isnan(self.value)):
-            raise ValueError("envelope value must be nonnegative")
+        # mathematically > 0; exact 0.0 is float underflow at huge s, +inf
+        # a vacuous envelope; NaN fails the comparison
+        if not self.value >= 0:
+            raise ValueError(
+                f"envelope value must be nonnegative, got {self.value}")
         if self.c1 is not None and self.c2 is not None and not self.c1 > self.c2:
             raise ValueError(f"need c1 > c2, got {self.c1} <= {self.c2}")
 
@@ -108,11 +113,11 @@ def lower_tail_upper_general(s: float, T: float, eps: float, delta: float,
 
 def nw_lower_tail(s: float, T: float, eps: float, delta: float,
                   K1: float = DEFAULT_CONSTANTS["K1"],
-                  K2: float = DEFAULT_CONSTANTS["K2"]):
-    """Narrow-wedge lower tail: (upper envelope, lower envelope) pair.
+                  K2: float = DEFAULT_CONSTANTS["K2"]) -> BoundResult:
+    """Narrow-wedge lower tail, two-sided.
 
-    The upper envelope is the same three-term sum with constant K1; the lower
-    envelope is exp(-T^(1/3) 4 s^(5/2) (1+eps) / (15 pi)) + exp(-K2 s^3).
+    value is the same three-term sum with constant K1; value_lower is
+    exp(-T^(1/3) 4 s^(5/2) (1+eps) / (15 pi)) + exp(-K2 s^3).
     """
     upper = lower_tail_upper_general(s, T, eps, delta, K1)
     if K2 <= 0:
@@ -120,35 +125,18 @@ def nw_lower_tail(s: float, T: float, eps: float, delta: float,
     t13 = T ** (1.0 / 3.0)
     lo = (math.exp(-t13 * 4.0 * _pow(s, 2.5) * (1.0 + eps) / (15.0 * math.pi))
           + math.exp(-K2 * _pow(s, 3)))
-    lower = BoundResult(value=lo, regime=upper.regime)
-    return upper, lower
+    return BoundResult(value=upper.value, regime=upper.regime, value_lower=lo)
 
 
-def classify_regime(s: float, T: float, eps: float, theorem: str,
-                    mu: Optional[float] = None,
-                    s0: float = DEFAULT_CONSTANTS["s0"]) -> str:
+def _regime(s: float, T: float, s0: float, lo: float, hi: float) -> str:
     """Regime label i/ii/iii for the upper-tail coefficient statements.
 
-    Thresholds: regime i for s < lo, regime ii for s >= hi (ties at hi belong
-    to ii, the printed interval being closed there), iii between.  For the
-    general-data variant both thresholds carry the (1 - 2 mu/3)^(-1) factor
-    and regime i uses eps^3 in place of eps^2.  T <= pi (or s below s0) has
-    no coefficient statement and maps to "none".
+    Regime i for s < lo, regime ii for s >= hi (ties at hi belong to ii,
+    the printed interval being closed there), iii between.  T <= pi (or s
+    below s0) has no coefficient statement and maps to "none".
     """
-    if theorem not in ("nw_upper", "general_upper"):
-        raise ValueError("regimes exist only for the upper-tail statements")
     if T <= math.pi or s < s0:
         return "none"
-    t23 = T ** (2.0 / 3.0)
-    if theorem == "nw_upper":
-        lo = eps**2 * t23 / 8.0
-        hi = (9.0 / 16.0) * t23 / eps**2
-    else:
-        if mu is None:
-            raise ValueError("mu required for the general-data regimes")
-        fac = 1.0 / (1.0 - 2.0 * mu / 3.0)
-        lo = eps**3 * fac * t23 / 8.0
-        hi = (9.0 / 16.0) * fac * t23 / eps**2
     if s >= hi:
         return "ii"
     if s < lo:
@@ -163,6 +151,14 @@ def _vacuous(T: float) -> BoundResult:
                        validity_note=f"{NOTE_CONSTANTS}; {note}")
 
 
+def _upper_tail_pair(s: float, regime: str, c1: float,
+                     c2: float) -> BoundResult:
+    """The pair e^(-c1 s^(3/2)) <= P <= e^(-c2 s^(3/2))."""
+    s32 = _pow(s, 1.5)
+    return BoundResult(value=math.exp(-c2 * s32), regime=regime, c1=c1, c2=c2,
+                       value_lower=math.exp(-c1 * s32))
+
+
 def nw_upper_tail(s: float, T: float, eps: float,
                   s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Narrow-wedge upper tail: e^(-c1 s^(3/2)) <= P(upsilon(0) >= s)
@@ -173,7 +169,8 @@ def nw_upper_tail(s: float, T: float, eps: float,
     iii: c1 = 2^(7/2) eps^(-3), c2 = (4/3) eps
     """
     _check_range("eps", eps, 0.0, 0.5)
-    regime = classify_regime(s, T, eps, "nw_upper", s0=s0)
+    t23 = T ** (2.0 / 3.0)
+    regime = _regime(s, T, s0, eps**2 * t23 / 8.0, (9.0 / 16.0) * t23 / eps**2)
     if regime == "none":
         return _vacuous(T)
     if regime == "i":
@@ -182,14 +179,15 @@ def nw_upper_tail(s: float, T: float, eps: float,
         c1, c2 = 4.0 * math.sqrt(3.0) * (1.0 + eps), (4.0 / 3.0) * (1.0 - eps)
     else:
         c1, c2 = 2.0**3.5 / eps**3, (4.0 / 3.0) * eps
-    s32 = _pow(s, 1.5)
-    return BoundResult(value=math.exp(-c2 * s32), regime=regime, c1=c1, c2=c2,
-                       value_lower=math.exp(-c1 * s32))
+    return _upper_tail_pair(s, regime, c1, c2)
 
 
 def general_upper_tail(s: float, T: float, eps: float, mu: float,
                        s0: float = DEFAULT_CONSTANTS["s0"]) -> BoundResult:
     """Upper tail for general initial data, two-sided coefficient pair.
+
+    The regime thresholds carry the (1 - 2 mu/3)^(-1) factor, and regime i
+    uses eps^3 in place of eps^2.
 
     i:   c1 = (8/3)(1+mu)(1+eps),   c2 = (sqrt(2)/3)(1-mu)(1-eps)
     ii:  c1 = 8 sqrt(3)(1+mu)(1+eps), c2 as in i
@@ -197,7 +195,10 @@ def general_upper_tail(s: float, T: float, eps: float, mu: float,
     """
     _check_range("eps", eps, 0.0, 0.5)
     _check_range("mu", mu, 0.0, 0.5)
-    regime = classify_regime(s, T, eps, "general_upper", mu=mu, s0=s0)
+    t23 = T ** (2.0 / 3.0)
+    fac = 1.0 / (1.0 - 2.0 * mu / 3.0)
+    regime = _regime(s, T, s0, eps**3 * fac * t23 / 8.0,
+                     (9.0 / 16.0) * fac * t23 / eps**2)
     if regime == "none":
         return _vacuous(T)
     root2_3 = math.sqrt(2.0) / 3.0
@@ -210,9 +211,7 @@ def general_upper_tail(s: float, T: float, eps: float, mu: float,
     else:
         c1 = 2.0**4.5 / eps**3 * (1.0 + mu)
         c2 = root2_3 * (1.0 - mu) * eps
-    s32 = _pow(s, 1.5)
-    return BoundResult(value=math.exp(-c2 * s32), regime=regime, c1=c1, c2=c2,
-                       value_lower=math.exp(-c1 * s32))
+    return _upper_tail_pair(s, regime, c1, c2)
 
 
 def brownian_upper_tail(s: float, T: float, eps: float, mu: float,
@@ -232,12 +231,12 @@ def brownian_upper_tail(s: float, T: float, eps: float, mu: float,
                        validity_note=base.validity_note)
 
 
-def nw_upper_laplace_bounds(s: float, T: float, eps: float, zeta: float):
-    """Two envelope values from the Laplace-functional route to the
-    narrow-wedge upper tail.
+def nw_upper_laplace_bounds(s: float, T: float, eps: float,
+                            zeta: float) -> BoundResult:
+    """The Laplace-functional route to the narrow-wedge upper tail.
 
-    upper      = e^(-T^(1/3) zeta s) + e^(-(4/3)(1-eps) s^(3/2))
-    lower_side = e^(-T^(1/3)(1+zeta) s) + e^(-(4/3)(1+eps) s^(3/2))
+    value       = e^(-T^(1/3) zeta s) + e^(-(4/3)(1-eps) s^(3/2))
+    value_lower = e^(-T^(1/3)(1+zeta) s) + e^(-(4/3)(1+eps) s^(3/2))
     Requires 0 < zeta <= eps < 1.
     """
     if not 0.0 < zeta <= eps < 1.0:
@@ -245,38 +244,38 @@ def nw_upper_laplace_bounds(s: float, T: float, eps: float, zeta: float):
     t13 = T ** (1.0 / 3.0)
     s32 = _pow(s, 1.5)
     upper = math.exp(-t13 * zeta * s) + math.exp(-(4.0 / 3.0) * (1.0 - eps) * s32)
-    lower_side = (math.exp(-t13 * (1.0 + zeta) * s)
-                  + math.exp(-(4.0 / 3.0) * (1.0 + eps) * s32))
-    return (BoundResult(value=upper, regime="none"),
-            BoundResult(value=lower_side, regime="none"))
+    lower = (math.exp(-t13 * (1.0 + zeta) * s)
+             + math.exp(-(4.0 / 3.0) * (1.0 + eps) * s32))
+    return BoundResult(value=upper, regime="none", value_lower=lower)
 
 
 @dataclass(frozen=True)
 class _Family:
-    """One theorem family: the tail it bounds and its envelope rows."""
+    """One theorem family: the tail it bounds and its envelope."""
 
     side: Optional[str]  # "lower", "upper", or None (no tail probability)
-    envelope: Callable  # (query, constants) -> [(label, BoundResult)]
+    envelope: Callable  # (query, constants) -> BoundResult
+
+
+def _general_lower(q, c) -> BoundResult:
+    return lower_tail_upper_general(q.s, q.T, q.eps, q.delta, c["K"])
 
 
 # the theorem table; its order is the row order of bounds.csv
 _FAMILIES = {
-    "general_lower": _Family("lower", lambda q, c: [
-        ("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, c["K"]))]),
-    "nw_lower": _Family("lower", lambda q, c: list(zip(
-        ("upper", "lower"),
-        nw_lower_tail(q.s, q.T, q.eps, q.delta, c["K1"], c["K2"])))),
-    "nw_upper": _Family("upper", lambda q, c: [
-        ("two_sided", nw_upper_tail(q.s, q.T, q.eps, s0=c["s0"]))]),
-    "general_upper": _Family("upper", lambda q, c: [
-        ("two_sided", general_upper_tail(q.s, q.T, q.eps, q.mu, s0=c["s0"]))]),
+    "general_lower": _Family("lower", _general_lower),
+    "nw_lower": _Family("lower", lambda q, c: nw_lower_tail(
+        q.s, q.T, q.eps, q.delta, c["K1"], c["K2"])),
+    "nw_upper": _Family("upper", lambda q, c: nw_upper_tail(
+        q.s, q.T, q.eps, s0=c["s0"])),
+    "general_upper": _Family("upper", lambda q, c: general_upper_tail(
+        q.s, q.T, q.eps, q.mu, s0=c["s0"])),
     # term for term the general-data envelope
-    "brownian_lower": _Family("lower", lambda q, c: [
-        ("upper", lower_tail_upper_general(q.s, q.T, q.eps, q.delta, c["K"]))]),
-    "brownian_upper": _Family("upper", lambda q, c: [
-        ("two_sided", brownian_upper_tail(q.s, q.T, q.eps, q.mu, s0=c["s0"]))]),
-    "nw_upper_laplace": _Family(None, lambda q, c: list(zip(
-        ("upper", "lower"), nw_upper_laplace_bounds(q.s, q.T, q.eps, q.zeta)))),
+    "brownian_lower": _Family("lower", _general_lower),
+    "brownian_upper": _Family("upper", lambda q, c: brownian_upper_tail(
+        q.s, q.T, q.eps, q.mu, s0=c["s0"])),
+    "nw_upper_laplace": _Family(None, lambda q, c: nw_upper_laplace_bounds(
+        q.s, q.T, q.eps, q.zeta)),
 }
 
 
@@ -308,12 +307,10 @@ class BoundQuery:
         return _FAMILIES[self.theorem].side
 
 
-def evaluate_query(q: BoundQuery):
-    """Evaluate a BoundQuery's envelopes through the theorem table.
+def evaluate_query(q: BoundQuery) -> BoundResult:
+    """Evaluate a BoundQuery's envelope through the theorem table.
 
-    Returns a list of (label, BoundResult) rows, one per envelope the theorem
-    family provides; labels are "upper" (bound on the tail probability),
-    "lower" (lower bound on the same probability, or the lower-side quantity
-    for the Laplace route) and "two_sided" (both, as value and value_lower).
+    value bounds the family's quantity from above; value_lower bounds it
+    from below when the statement is two-sided.
     """
     return _FAMILIES[q.theorem].envelope(q, {**DEFAULT_CONSTANTS, **q.constants})

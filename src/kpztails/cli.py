@@ -55,6 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
     try:
         overrides = (None if args.config is None
                      else json.loads(args.config.read_text()))

@@ -113,6 +113,10 @@ class ExperimentConfig:
         # a dict of its own, so that editing the caller's dict, a preset's
         # or another config's cannot edit this one
         object.__setattr__(self, "constants", dict(self.constants))
+        not_int = [name for name in _COUNT_FIELDS
+                   if not isinstance(getattr(self, name), int)]
+        if not_int:
+            raise ValueError(f"counts must be integers: {not_int}")
         if self.n_samples < 2 or self.gibbs_n < 2 or self.airy_n < 2:
             raise ValueError("sample counts must be at least 2")
         empty = [name for name in _TUPLE_FIELDS if not getattr(self, name)]
@@ -150,12 +154,15 @@ class ExperimentConfig:
 
 
 _TUPLE_FIELDS = ("initials", "s_grid", "airy_s", "moments_k", "moments_T")
+_COUNT_FIELDS = ("n_samples", "gibbs_n", "airy_n", "airy_N", "airy_K")
 
 
 def _config_fields(d: dict) -> dict:
     """A copy of d with sequences made tuples; unknown fields raise."""
     if not isinstance(d, dict):
         raise ValueError(f"config must be a JSON object, got {d!r}")
+    if "preset" in d:
+        raise ValueError("preset is chosen by name, not a config field")
     unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
@@ -274,15 +281,15 @@ def run_bounds(config: ExperimentConfig, seed: int, out_dir) -> dict:
     rows = []
     for theorem in BoundQuery.THEOREMS:
         for s in config.s_grid:
-            for label, res in evaluate_query(config.query(theorem, s)):
-                rows.append((theorem, label, s, config.T, res.value,
-                             "" if res.value_lower is None else res.value_lower,
-                             res.regime,
-                             "" if res.c1 is None else res.c1,
-                             "" if res.c2 is None else res.c2,
-                             res.validity_note))
+            res = evaluate_query(config.query(theorem, s))
+            rows.append((theorem, s, config.T, res.value,
+                         "" if res.value_lower is None else res.value_lower,
+                         res.regime,
+                         "" if res.c1 is None else res.c1,
+                         "" if res.c2 is None else res.c2,
+                         res.validity_note))
     path = out / "bounds.csv"
-    _write_csv(path, ["theorem", "label", "s", "T", "value", "value_lower",
+    _write_csv(path, ["theorem", "s", "T", "value", "value_lower",
                       "regime", "c1", "c2", "validity_note"], rows)
     return _summarize(out, "bounds", config, seed, {}, [path.name],
                       rows=len(rows))
@@ -376,11 +383,11 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
                    for s in config.s_grid]
         for v in bound_violation_report(samples[name], queries, config.alpha):
             counts[v.verdict] += 1
-            rows.append((name, v.theorem, v.direction, v.side, v.s, v.T,
+            rows.append((name, v.theorem, v.side, v.s, v.T,
                          v.envelope_raw, v.envelope, v.estimate, v.ci_lo,
                          v.ci_hi, v.n, v.hits, v.verdict, v.slack, v.regime))
     path = out / "report.csv"
-    _write_csv(path, ["initial", "theorem", "direction", "side", "s", "T",
+    _write_csv(path, ["initial", "theorem", "side", "s", "T",
                       "envelope_raw", "envelope", "estimate", "ci_lo", "ci_hi",
                       "n", "hits", "verdict", "slack", "regime"], rows)
     return _summarize(out, "report", config, seed,

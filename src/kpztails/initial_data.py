@@ -266,11 +266,8 @@ def _two_sided_brownian(x: np.ndarray, seed) -> np.ndarray:
     pos = np.flatnonzero(x > 0)
     neg = np.flatnonzero(x < 0)[::-1]  # walk outward from 0
     for side in (pos, neg):
-        prev_x, prev_v = 0.0, 0.0
-        for i in side:
-            dv = math.sqrt(abs(x[i] - prev_x)) * rng.standard_normal()
-            H0[i] = prev_v + dv
-            prev_x, prev_v = x[i], H0[i]
+        steps = np.sqrt(np.abs(np.diff(x[side], prepend=0.0)))
+        H0[side] = np.cumsum(steps * rng.standard_normal(side.size))
     return H0
 
 

@@ -5,11 +5,15 @@ queries to judge it against.  For each query it counts the sample's hits
 on the tail the theorem table in bounds gives for the family ({X <= -s}
 for a lower tail, {X >= s} for an upper tail) and reports the tail
 probability with a Clopper-Pearson interval (normal approximations are
-useless near 0, which is where tail checks live).  Verdicts compare the
-interval against a theorem envelope clamped to [0, 1]:
+useless near 0, which is where tail checks live).  Each query gets one
+verdict on its family's claim P <= env, with env = evaluate_query(q).value
+clamped to [0, 1]:
 
-    upper-bound claim P <= env   violated iff  ci_lo > env
-    lower-bound claim P >= env   violated iff  ci_hi < env
+    claim P <= env   violated iff  ci_lo > env
+
+The lower bound of a two-sided statement (value_lower) is not judged: its
+unit-constant version is an asymptotic statement that fails at desk-scale
+s.
 
 Cells whose envelope cannot produce 10 expected hits at the given sample
 size are labeled UNTESTABLE-AT-SCALE instead of silently passing: vanilla
@@ -65,10 +69,9 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01):
 
 @dataclass(frozen=True)
 class CellVerdict:
-    """Outcome of one (estimate, theorem-envelope) comparison."""
+    """Outcome of one query's claim P <= envelope on one sample."""
 
     theorem: str
-    direction: str  # "upper": claim P <= envelope; "lower": claim P >= envelope
     s: float
     T: float
     side: str
@@ -88,34 +91,26 @@ def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _judge(direction: str, env: float, lo: float, hi: float, n: int):
+def _judge(env: float, lo: float, n: int) -> str:
     # a decisive contradiction outranks the depth label: an interval that
     # clears the envelope is evidence no matter how few hits were expected
-    violated = (lo > env) if direction == "upper" else (hi < env)
-    if violated:
-        verdict = VIOLATION
-    elif n * env < MIN_EXPECTED_HITS:
-        verdict = UNTESTABLE
-    else:
-        verdict = CONSISTENT
-    slack = (env - lo) if direction == "upper" else (hi - env)
-    return verdict, slack
+    if lo > env:
+        return VIOLATION
+    if n * env < MIN_EXPECTED_HITS:
+        return UNTESTABLE
+    return CONSISTENT
 
 
 def bound_violation_report(
     samples,
     queries: Sequence[BoundQuery],
     alpha: float = 0.01,
-    check_lower: bool = False,
 ) -> list:
-    """Judge one 1-d sample against each query's theorem envelopes.
+    """Judge one 1-d sample against each query's theorem envelope.
 
     Each query's hits are counted on its family's tail side, with both
-    thresholds inclusive, and carry a (1 - alpha) Clopper-Pearson interval.
-    By default only the upper envelopes (claims P <= env) are judged: the
-    lower envelopes are asymptotic statements whose unit-constant versions
-    fail at desk-scale s, so they are opt-in via check_lower and reported,
-    never silently dropped.
+    thresholds inclusive, and carry a (1 - alpha) Clopper-Pearson interval;
+    each query gives one verdict, in query order.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -129,22 +124,11 @@ def bound_violation_report(
                 f"{q.theorem} is not a tail-probability statement")
         hits = int(np.sum(x <= -q.s) if side == "lower" else np.sum(x >= q.s))
         lo, hi = clopper_pearson(hits, n, alpha)
-        for label, res in evaluate_query(q):
-            checks = []
-            if label in ("upper", "two_sided"):
-                checks.append(("upper", res.value))
-            if check_lower:
-                if label == "lower":
-                    checks.append(("lower", res.value))
-                elif label == "two_sided" and res.value_lower is not None:
-                    checks.append(("lower", res.value_lower))
-            for direction, raw in checks:
-                env = _clamp01(raw)
-                verdict, slack = _judge(direction, env, lo, hi, n)
-                out.append(CellVerdict(
-                    theorem=q.theorem, direction=direction, s=q.s, T=q.T,
-                    side=side, envelope_raw=float(raw), envelope=env,
-                    estimate=hits / n, ci_lo=lo, ci_hi=hi, n=n,
-                    hits=hits, verdict=verdict, slack=slack,
-                    regime=res.regime))
+        res = evaluate_query(q)
+        env = _clamp01(res.value)
+        out.append(CellVerdict(
+            theorem=q.theorem, s=q.s, T=q.T, side=side,
+            envelope_raw=float(res.value), envelope=env, estimate=hits / n,
+            ci_lo=lo, ci_hi=hi, n=n, hits=hits,
+            verdict=_judge(env, lo, n), slack=env - lo, regime=res.regime))
     return out

@@ -8,7 +8,6 @@ from kpztails.bounds import (
     BoundQuery,
     BoundResult,
     brownian_upper_tail,
-    classify_regime,
     evaluate_query,
     general_upper_tail,
     lower_tail_upper_general,
@@ -58,7 +57,7 @@ class TestGeneralLowerTail:
     @given(s=pos_s, T=pos_T, eps=eps_third, delta=eps_third, K=st.floats(0.1, 10))
     def test_brownian_variant_is_identical(self, s, T, eps, delta, K):
         a = lower_tail_upper_general(s, T, eps, delta, K)
-        (_, b), = evaluate_query(BoundQuery(
+        b = evaluate_query(BoundQuery(
             theorem="brownian_lower", s=s, T=T, eps=eps, delta=delta,
             constants={"K": K}))
         assert a == b
@@ -71,65 +70,63 @@ class TestGeneralLowerTail:
 
 class TestNwLowerTail:
     def test_upper_matches_general_formula_with_K1(self):
-        up, _ = nw_lower_tail(1.0, 1.0, 0.1, 0.1, K1=1.0, K2=1.0)
-        assert up.value == pytest.approx(2.18706, abs=1e-5)
+        r = nw_lower_tail(1.0, 1.0, 0.1, 0.1, K1=1.0, K2=1.0)
+        assert r.value == pytest.approx(2.18706, abs=1e-5)
 
     def test_lower_two_term_form(self):
-        _, lo = nw_lower_tail(2.0, 1.0, 0.1, 0.1, K1=1.0, K2=1.0)
+        r = nw_lower_tail(2.0, 1.0, 0.1, 0.1, K1=1.0, K2=1.0)
         expect = (math.exp(-4 * 2**2.5 * 1.1 / (15 * math.pi))
                   + math.exp(-8.0))
-        assert lo.value == pytest.approx(expect, rel=1e-12)
+        assert r.value_lower == pytest.approx(expect, rel=1e-12)
 
     def test_lower_below_upper_on_sweep_grid(self):
         for s in np.linspace(1, 10, 10):
             for T in np.geomspace(1, 100, 9):
-                up, lo = nw_lower_tail(s, T, 0.1, 0.1, K1=1.0, K2=1.0)
-                assert lo.value <= up.value
+                r = nw_lower_tail(s, T, 0.1, 0.1, K1=1.0, K2=1.0)
+                assert r.value_lower <= r.value
 
     def test_small_s_raw_values_near_two(self):
-        up, lo = nw_lower_tail(1e-4, 1.0, 0.1, 0.1)
-        assert up.value == pytest.approx(3.0, abs=0.01)  # three raw terms -> 1 each
-        assert lo.value == pytest.approx(2.0, abs=0.01)
+        r = nw_lower_tail(1e-4, 1.0, 0.1, 0.1)
+        assert r.value == pytest.approx(3.0, abs=0.01)  # three raw terms -> 1 each
+        assert r.value_lower == pytest.approx(2.0, abs=0.01)
 
 
 class TestRegimeClassification:
     def test_reference_regime_i(self):
-        assert classify_regime(1.0, 1000.0, 0.3, "nw_upper") == "i"
+        assert nw_upper_tail(1.0, 1000.0, 0.3).regime == "i"
 
     def test_threshold_value_reference(self):
         # eps=0.3, T=1000: lo = 0.09*100/8 = 1.125
-        assert classify_regime(1.1249, 1000.0, 0.3, "nw_upper") == "i"
-        assert classify_regime(1.1251, 1000.0, 0.3, "nw_upper") == "iii"
+        assert nw_upper_tail(1.1249, 1000.0, 0.3).regime == "i"
+        assert nw_upper_tail(1.1251, 1000.0, 0.3).regime == "iii"
 
     def test_tie_at_upper_threshold_is_regime_ii(self):
         eps, T = 0.3, 4.0
         hi = (9 / 16) * T ** (2 / 3) / eps**2
-        assert classify_regime(hi, T, eps, "nw_upper") == "ii"
-        assert classify_regime(hi - 1e-9, T, eps, "nw_upper") == "iii"
+        assert nw_upper_tail(hi, T, eps).regime == "ii"
+        assert nw_upper_tail(hi - 1e-9, T, eps).regime == "iii"
 
     def test_lower_threshold_belongs_to_iii(self):
         eps, T = 0.3, 1000.0
         lo = eps**2 * T ** (2 / 3) / 8
-        assert classify_regime(lo, T, eps, "nw_upper") == "iii"
+        assert nw_upper_tail(lo, T, eps).regime == "iii"
 
     def test_small_T_has_no_regime(self):
-        assert classify_regime(5.0, 3.0, 0.3, "nw_upper") == "none"
-        assert classify_regime(5.0, math.pi, 0.3, "nw_upper") == "none"
+        assert nw_upper_tail(5.0, 3.0, 0.3).regime == "none"
+        assert nw_upper_tail(5.0, math.pi, 0.3).regime == "none"
 
     def test_general_variant_uses_eps_cubed_and_mu_factor(self):
         # eps=0.1, mu=0.1, T=1000: lo = (1/8)(0.001)(1/0.93333)*100 = 0.013393
         lo_edge = 0.013393
-        assert classify_regime(lo_edge * 0.99, 1000.0, 0.1, "general_upper",
-                               mu=0.1) == "i"
-        assert classify_regime(lo_edge * 1.01, 1000.0, 0.1, "general_upper",
-                               mu=0.1) == "iii"
+        assert general_upper_tail(lo_edge * 0.99, 1000.0, 0.1, 0.1).regime == "i"
+        assert general_upper_tail(lo_edge * 1.01, 1000.0, 0.1,
+                                  0.1).regime == "iii"
 
     @given(s=st.floats(0.01, 1e4), T=st.floats(3.2, 1e4), eps=eps_half,
            mu=eps_half)
     def test_partition_exactly_one_label(self, s, T, eps, mu):
-        for theorem in ("nw_upper", "general_upper"):
-            label = classify_regime(s, T, eps, theorem, mu=mu)
-            assert label in ("i", "ii", "iii")
+        for r in (nw_upper_tail(s, T, eps), general_upper_tail(s, T, eps, mu)):
+            assert r.regime in ("i", "ii", "iii")
 
 
 class TestNwUpperTail:
@@ -219,17 +216,17 @@ class TestBrownianUpperTail:
 
 class TestLaplaceRouteBounds:
     def test_reference_upper_value(self):
-        up, _ = nw_upper_laplace_bounds(1.0, 1.0, 0.2, 0.2)
-        assert up.value == pytest.approx(1.16288, abs=1e-5)
+        r = nw_upper_laplace_bounds(1.0, 1.0, 0.2, 0.2)
+        assert r.value == pytest.approx(1.16288, abs=1e-5)
 
     def test_lower_side_form(self):
-        _, lo = nw_upper_laplace_bounds(1.0, 1.0, 0.2, 0.2)
+        r = nw_upper_laplace_bounds(1.0, 1.0, 0.2, 0.2)
         expect = math.exp(-1.2) + math.exp(-(4 / 3) * 1.2)
-        assert lo.value == pytest.approx(expect, rel=1e-12)
+        assert r.value_lower == pytest.approx(expect, rel=1e-12)
 
     def test_gaussian_term_negligible_at_huge_T(self):
-        up, _ = nw_upper_laplace_bounds(1.0, 1e6, 0.2, 0.2)
-        assert up.value == pytest.approx(math.exp(-(4 / 3) * 0.8), rel=1e-4)
+        r = nw_upper_laplace_bounds(1.0, 1e6, 0.2, 0.2)
+        assert r.value == pytest.approx(math.exp(-(4 / 3) * 0.8), rel=1e-4)
 
     def test_zeta_above_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -241,9 +238,9 @@ class TestLaplaceRouteBounds:
     @given(s=st.floats(0.05, 15.0), T=st.floats(0.05, 500.0),
            eps=st.floats(0.02, 0.9))
     def test_strictly_decreasing_in_s(self, s, T, eps):
-        u1, l1 = nw_upper_laplace_bounds(s, T, eps, eps / 2)
-        u2, l2 = nw_upper_laplace_bounds(s * 1.25, T, eps, eps / 2)
-        assert u2.value < u1.value and l2.value < l1.value
+        r1 = nw_upper_laplace_bounds(s, T, eps, eps / 2)
+        r2 = nw_upper_laplace_bounds(s * 1.25, T, eps, eps / 2)
+        assert r2.value < r1.value and r2.value_lower < r1.value_lower
 
 
 class TestQueryDispatch:
@@ -251,16 +248,12 @@ class TestQueryDispatch:
         for theorem in BoundQuery.THEOREMS:
             q = BoundQuery(theorem=theorem, s=2.0, T=8.0, eps=0.2, delta=0.2,
                            mu=0.2, zeta=0.2)
-            rows = evaluate_query(q)
-            assert rows
-            for label, r in rows:
-                assert isinstance(r, BoundResult)
-                assert label in ("upper", "lower", "two_sided")
+            assert isinstance(evaluate_query(q), BoundResult)
 
     def test_constants_flow_through(self):
         q = BoundQuery(theorem="general_lower", s=2.0, T=1.0,
                        constants={"K": 3.0})
-        (_, r), = evaluate_query(q)
+        r = evaluate_query(q)
         direct = lower_tail_upper_general(2.0, 1.0, 0.1, 0.1, K=3.0)
         assert r.value == direct.value
 
@@ -268,32 +261,25 @@ class TestQueryDispatch:
     def test_each_family_calls_its_own_function(self, s):
         # every parameter and constant differs from its default and from the
         # others, so a family wired to another's function, or a constant
-        # passed in another's place, changes some row; s = 0.5 lies below
+        # passed in another's place, changes some result; s = 0.5 lies below
         # s0 (vacuous upper tails) and s = 2.0 above it
         T, eps, delta, mu, zeta = 8.0, 0.2, 0.15, 0.25, 0.1
         K, K1, K2, s0 = 2.0, 3.0, 5.0, 0.7
         direct = {
-            "general_lower": [
-                ("upper", lower_tail_upper_general(s, T, eps, delta, K))],
-            "nw_lower": list(zip(("upper", "lower"),
-                                 nw_lower_tail(s, T, eps, delta, K1, K2))),
-            "nw_upper": [("two_sided", nw_upper_tail(s, T, eps, s0=s0))],
-            "general_upper": [
-                ("two_sided", general_upper_tail(s, T, eps, mu, s0=s0))],
-            "brownian_lower": [
-                ("upper", lower_tail_upper_general(s, T, eps, delta, K))],
-            "brownian_upper": [
-                ("two_sided", brownian_upper_tail(s, T, eps, mu, s0=s0))],
-            "nw_upper_laplace": list(zip(("upper", "lower"),
-                                         nw_upper_laplace_bounds(s, T, eps,
-                                                                 zeta))),
+            "general_lower": lower_tail_upper_general(s, T, eps, delta, K),
+            "nw_lower": nw_lower_tail(s, T, eps, delta, K1, K2),
+            "nw_upper": nw_upper_tail(s, T, eps, s0=s0),
+            "general_upper": general_upper_tail(s, T, eps, mu, s0=s0),
+            "brownian_lower": lower_tail_upper_general(s, T, eps, delta, K),
+            "brownian_upper": brownian_upper_tail(s, T, eps, mu, s0=s0),
+            "nw_upper_laplace": nw_upper_laplace_bounds(s, T, eps, zeta),
         }
         assert tuple(direct) == BoundQuery.THEOREMS
-        for theorem, rows in direct.items():
+        for theorem, r in direct.items():
             q = BoundQuery(theorem=theorem, s=s, T=T, eps=eps, delta=delta,
                            mu=mu, zeta=zeta,
                            constants={"K": K, "K1": K1, "K2": K2, "s0": s0})
-            assert evaluate_query(q) == rows, theorem
+            assert evaluate_query(q) == r, theorem
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -313,14 +299,19 @@ class TestQueryDispatch:
         # s^3 or s^1.5 passes the float range: every envelope that is not
         # vacuous is exactly 0
         q = BoundQuery(theorem, s=s, T=T)
-        for _, r in evaluate_query(q):
-            vacuous = r.regime == "none" and q.side == "upper"
-            assert r.value == (math.inf if vacuous else 0.0)
-            assert r.value_lower in (None, 0.0)
+        r = evaluate_query(q)
+        vacuous = r.regime == "none" and q.side == "upper"
+        assert r.value == (math.inf if vacuous else 0.0)
+        assert r.value_lower in (None, 0.0)
 
     def test_result_rejects_inverted_coefficients(self):
         with pytest.raises(ValueError):
             BoundResult(value=0.5, regime="i", c1=0.1, c2=0.9)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, -1.0])
+    def test_result_rejects_negative_or_nan_value(self, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BoundResult(value=value, regime="i")
 
 
 @settings(max_examples=60)

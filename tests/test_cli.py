@@ -74,6 +74,10 @@ class TestMain:
         ('{"bogus": 1}', "unknown config fields: ['bogus']"),
         ('{"airy_T": 2}', "unknown config fields: ['airy_T']"),
         ('{"n_samples": 1}', "sample counts must be at least 2"),
+        ('{"n_samples": 40.0}', "counts must be integers: ['n_samples']"),
+        # --preset chooses the preset; a field of that name would only
+        # relabel the summaries
+        ('{"preset": "full"}', "preset is chosen by name"),
         ('["n_samples"]', "config must be a JSON object"),
         ('{"n_samples": ', "Expecting value"),
         (None, "No such file"),
@@ -98,6 +102,15 @@ class TestMain:
             cli.main(["report", "--config", str(path), "--out-dir", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "-1", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_threshold_reports(self, tmp_path):

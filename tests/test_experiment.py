@@ -10,6 +10,7 @@ import pytest
 
 from kpztails import experiment
 from kpztails.airy import laplace_lhs
+from kpztails.bounds import BoundQuery
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
                                  run_airy, run_all, run_gibbs, run_moments)
 
@@ -75,6 +76,12 @@ class TestConfig:
         dict(moments_k=()),
         dict(moments_T=()),
         dict(constants={"k": 5.0}),
+        # counts must be integers, not merely integral floats
+        dict(n_samples=40.0),
+        dict(gibbs_n=200.0),
+        dict(airy_n=300.0),
+        dict(airy_N=512.0),
+        dict(airy_K=10.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -161,12 +168,15 @@ class TestBundle:
     def test_bounds_table_covers_every_theorem(self, bundle, tiny_cfg):
         out, _ = bundle
         header, rows = _read_csv(out / "bounds.csv")
-        assert header[:4] == ["theorem", "label", "s", "T"]
+        assert header == ["theorem", "s", "T", "value", "value_lower",
+                          "regime", "c1", "c2", "validity_note"]
+        # one row per (theorem, s)
+        assert len(rows) == len(BoundQuery.THEOREMS) * len(tiny_cfg.s_grid)
         theorems = {r[0] for r in rows}
         assert theorems == {"general_lower", "nw_lower", "nw_upper",
                             "general_upper", "brownian_lower",
                             "brownian_upper", "nw_upper_laplace"}
-        s_seen = {float(r[2]) for r in rows}
+        s_seen = {float(r[1]) for r in rows}
         assert s_seen == set(tiny_cfg.s_grid)
 
     def test_moments_artifact(self, bundle, tiny_cfg):

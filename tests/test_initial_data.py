@@ -178,6 +178,27 @@ class TestMakeUnscaledInitial:
         b = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("x", [
+        np.linspace(-4, 4, 161), np.linspace(-6, 6, 241),
+        np.array([0.0, 0.5, 1.0]), np.array([-1.0, -0.3]),
+        np.array([-2.0, -0.7, 0.4, 3.0])])
+    @pytest.mark.parametrize("seed", [0, 7, 27])
+    def test_brownian_path_matches_site_by_site_walk(self, x, seed):
+        # the reference walks outward from 0 one site and one normal at a
+        # time, positive side first; the arithmetic is the same, so the
+        # bits must be too
+        rng = np.random.default_rng(seed)
+        ref = np.zeros(x.size)
+        for side in (np.flatnonzero(x > 0), np.flatnonzero(x < 0)[::-1]):
+            prev_x, prev_v = 0.0, 0.0
+            for i in side:
+                dv = math.sqrt(abs(x[i] - prev_x)) * rng.standard_normal()
+                ref[i] = prev_v + dv
+                prev_x, prev_v = x[i], ref[i]
+        got = make_unscaled_initial(BrownianTwoSided(seed=seed), T=1.0,
+                                    x_grid=x)
+        assert got.tobytes() == ref.tobytes()
+
     def test_invalid_T(self):
         with pytest.raises(ValueError):
             make_unscaled_initial(Flat(), T=0.0, x_grid=np.array([0.0, 1.0]))

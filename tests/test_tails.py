@@ -203,9 +203,8 @@ class TestReportVerdicts:
         rng = np.random.default_rng(3)
         vals = rng.normal(0.0, 0.5, size=4000)
         rows = bound_violation_report(vals, [_query("nw_lower", 1.0)])
-        assert len(rows) == 1  # default judges only the upper envelope
+        assert len(rows) == 1  # one verdict per query
         row = rows[0]
-        assert row.direction == "upper"
         assert row.verdict == CONSISTENT
         assert row.envelope == min(row.envelope_raw, 1.0)
         assert row.ci_lo <= row.estimate <= row.ci_hi
@@ -234,24 +233,6 @@ class TestReportVerdicts:
         assert row.n * row.envelope < MIN_EXPECTED_HITS
         assert row.verdict == VIOLATION
 
-    def test_check_lower_flags_failed_lower_envelope(self):
-        # nw_lower's companion lower envelope with unit constants is far
-        # above the true tail at desk scale; opt-in check exposes that
-        rows = bound_violation_report(np.zeros(2000), [_query("nw_lower", 2.0)],
-                                      check_lower=True)
-        assert [r.direction for r in rows] == ["upper", "lower"]
-        assert rows[0].verdict == CONSISTENT
-        assert rows[1].verdict == VIOLATION
-        assert rows[1].envelope > rows[1].ci_hi
-
-    def test_two_sided_check_lower(self):
-        # upper-tail theorems carry both envelopes at large T
-        rows = bound_violation_report(np.zeros(2000),
-                                      [_query("nw_upper", 2.0, T=5.0)],
-                                      check_lower=True)
-        assert [r.direction for r in rows] == ["upper", "lower"]
-        assert all(math.isfinite(r.envelope_raw) for r in rows)
-
     def test_slack_sign(self):
         row, = bound_violation_report(np.zeros(500), [_query("nw_lower", 1.0)])
         assert row.slack == pytest.approx(row.envelope - row.ci_lo)
@@ -260,8 +241,7 @@ class TestReportVerdicts:
     def test_verdict_row_matches_envelope_function(self):
         from kpztails.bounds import nw_lower_tail
         row, = bound_violation_report(np.zeros(500), [_query("nw_lower", 2.0)])
-        upper_env, _ = nw_lower_tail(2.0, 1.0, 0.1, 0.1, 1.0)
-        assert row.envelope_raw == upper_env.value
+        assert row.envelope_raw == nw_lower_tail(2.0, 1.0, 0.1, 0.1, 1.0).value
 
 
 class TestReportValidation:
