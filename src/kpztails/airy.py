@@ -104,6 +104,15 @@ def _edge_points_one(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return N**(1.0 / 6.0) * (lam[::-1] - 2.0 * math.sqrt(N))
 
 
+def check_edge_shape(N: int, K: int) -> None:
+    """Reject a matrix size N or retained point count K the sampler refuses."""
+    if N < 64:
+        raise ValueError(f"matrix size airy_N must be at least 64, got {N}")
+    if not 1 <= K <= 16:
+        raise ValueError(f"retained point count airy_K must lie in [1, 16], "
+                         f"got {K}")
+
+
 def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarray:
     """n_samples independent draws stacked as an (n_samples, K) array.
 
@@ -114,10 +123,7 @@ def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarra
     drawn in parallel threads (she.run_row_blocks), each writing only its
     own rows, so the worker count cannot change them.
     """
-    if N < 64:
-        raise ValueError("matrix size must be at least 64")
-    if not 1 <= K <= 16:
-        raise ValueError("retained point count must be in [1, 16]")
+    check_edge_shape(N, K)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     out = np.empty((n_samples, K))

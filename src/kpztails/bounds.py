@@ -66,6 +66,10 @@ class BoundResult:
         if not self.value >= 0:
             raise ValueError(
                 f"envelope value must be nonnegative, got {self.value}")
+        lower = self.value_lower
+        if lower is not None and not 0 <= lower <= self.value:
+            raise ValueError(f"lower envelope must lie in [0, {self.value}], "
+                             f"got {lower}")
         if self.c1 is not None and self.c2 is not None and not self.c1 > self.c2:
             raise ValueError(f"need c1 > c2, got {self.c1} <= {self.c2}")
 

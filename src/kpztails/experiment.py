@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .airy import laplace_lhs, laplace_rhs, sample_gue_edge_many
+from .airy import (check_edge_shape, laplace_lhs, laplace_rhs,
+                   sample_gue_edge_many)
 from .bounds import DEFAULT_CONSTANTS, BoundQuery, evaluate_query
 from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
@@ -140,6 +141,7 @@ class ExperimentConfig:
                              f"choose from {sorted(DEFAULT_CONSTANTS)}")
         # build what the runners build, so that their own checks run now
         self.solver()
+        check_edge_shape(self.airy_N, self.airy_K)
         for theorem in BoundQuery.THEOREMS:
             for s in self.s_grid:
                 evaluate_query(self.query(theorem, s))

@@ -26,7 +26,8 @@ ensemble readout is a pure function of (seed, replica count) whatever the
 chunking and whatever the number of worker threads.  The ensemble solver
 splits each chunk of replicas into one contiguous row block per usable
 core and evolves the blocks in threads; numpy's ufuncs and uniform fills
-release the interpreter lock, so the blocks run in parallel.
+release the interpreter lock, so the blocks run in parallel.  Memory is one
+chunk's noise window, written in place, plus one uniform scratch per block.
 """
 
 from __future__ import annotations
@@ -155,27 +156,25 @@ _WINDOW = 256
 _NOISE_ROWS = 8
 
 
-def _window_multipliers(gens, w: int, n_sites: int, sigma, dtype) -> np.ndarray:
-    """exp(sigma g - sigma^2/2) for w steps, shape (w, len(gens), n_sites).
+def _window_multipliers(gens, w: int, n_sites: int, sigma, out, u):
+    """exp(sigma g - sigma^2/2) for w steps: out's view (len(gens), w, n_sites).
 
-    Normals come from Box-Muller on per-replica uniform streams.  The
-    transcendental math runs on _NOISE_ROWS replicas at a time, so the
-    uniforms and their transforms stay in cache; every operation is
-    elementwise, so the blocking leaves the bits unchanged.  The result is
-    step-major, so each step multiplies by one contiguous slice.  The f32
-    pairing truncates |g| around 5.8 sigma, which perturbs the multiplier
-    mean by under 1e-8 relative.
+    Normals come from Box-Muller on per-replica uniform streams drawn into
+    the scratch u; out and u need w * n_sites columns rounded up to even.
+    The transcendental math runs on _NOISE_ROWS replicas at a time, so the
+    uniforms and their transforms stay in cache, and writes straight into
+    their rows of out; every operation is elementwise, so the blocking
+    leaves the bits unchanged.  The f32 pairing truncates |g| around 5.8
+    sigma, which perturbs the multiplier mean by under 1e-8 relative.
     """
+    dtype = out.dtype
     count = w * n_sites
     even = count + (count & 1)
     half = even // 2
     n = len(gens)
-    mult = np.empty((w, n, n_sites), dtype=dtype)
-    u = np.empty((min(n, _NOISE_ROWS), even), dtype=dtype)
-    z = np.empty_like(u)
     for lo in range(0, n, _NOISE_ROWS):
         hi = min(n, lo + _NOISE_ROWS)
-        ub = u[:hi - lo]
+        ub = u[:hi - lo, :even]
         for i in range(lo, hi):
             gens[i].random(out=ub[i - lo], dtype=dtype)
         u1 = ub[:, :half]
@@ -185,7 +184,7 @@ def _window_multipliers(gens, w: int, n_sites: int, sigma, dtype) -> np.ndarray:
         u1 *= dtype.type(-2.0)
         np.sqrt(u1, out=u1)  # r = sqrt(-2 log(1-u))
         u2 *= dtype.type(2.0 * math.pi)
-        zb = z[:hi - lo]
+        zb = out[lo:hi, :even]
         np.cos(u2, out=zb[:, :half])
         np.sin(u2, out=zb[:, half:])
         zb[:, :half] *= u1
@@ -193,9 +192,7 @@ def _window_multipliers(gens, w: int, n_sites: int, sigma, dtype) -> np.ndarray:
         zb *= sigma
         zb -= dtype.type(0.5) * sigma * sigma
         np.exp(zb, out=zb)
-        rows = zb[:, :count].reshape(hi - lo, w, n_sites)
-        mult[:, lo:hi] = rows.transpose(1, 0, 2)
-    return mult
+    return out[:, :count].reshape(n, w, n_sites)
 
 
 def _replica_generators(seed: int, start: int, count: int) -> list:
@@ -208,18 +205,23 @@ def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
 
     Z holds one row per generator and is consumed as scratch.  A yielded
     array is overwritten two steps later, so callers copy what they keep.
+    Every window's noise goes into one buffer sized by the first, the largest.
     """
     dtype = Z.dtype
     lam = dtype.type(dt / (2.0 * dx**2))
     sigma = dtype.type(math.sqrt(dt / dx))
     buf = np.empty_like(Z)
+    n, n_sites = Z.shape
+    count = min(_WINDOW, steps) * n_sites
+    noise = np.empty((n, count + (count & 1)), dtype=dtype)
+    u = np.empty((min(n, _NOISE_ROWS), noise.shape[1]), dtype=dtype)
     for start in range(0, steps, _WINDOW):
         w = min(_WINDOW, steps - start)
-        mult = _window_multipliers(gens, w, Z.shape[1], sigma, dtype)
+        mult = _window_multipliers(gens, w, n_sites, sigma, noise, u)
         for j in range(w):
             _heat_step(Z, buf, lam)
             Z, buf = buf, Z
-            Z *= mult[j]
+            Z *= mult[:, j]
             yield Z
 
 
@@ -331,15 +333,13 @@ def solve_she_ensemble(
     held fixed across replicas (quenched path from the initial condition's
     own seed); the dynamical noise varies.
 
-    _CHUNK bounds the replicas in flight, and so the noise window held in
-    memory, across all workers together: run_row_blocks splits each chunk
-    into min(usable_cores(), rows) contiguous row blocks that are evolved
-    in parallel threads, and the next chunk starts when all of them are
-    done.
-    Each block also holds its own Box-Muller scratch of up to _NOISE_ROWS
-    replicas' window (about 4 MB in float32 on a 241-site lattice), so
-    memory does grow with the core count, by up to twice the noise window
-    once the blocks are _NOISE_ROWS rows or fewer.
+    _CHUNK bounds the replicas in flight across all workers together:
+    run_row_blocks splits each chunk into W = min(usable_cores(), rows)
+    contiguous row blocks that are evolved in parallel threads, and the
+    next chunk starts when all of them are done.  Memory is one chunk's
+    noise window, written in place into one buffer per block, plus W
+    Box-Muller scratch blocks of _NOISE_ROWS replicas' uniforms (about
+    2 MB each in float32 on a 241-site lattice).
     """
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:

@@ -313,6 +313,28 @@ class TestQueryDispatch:
         with pytest.raises(ValueError, match="nonnegative"):
             BoundResult(value=value, regime="i")
 
+    @pytest.mark.parametrize("lower", [math.nan, -math.inf, -1.0, 0.9])
+    def test_result_rejects_lower_envelope_outside_zero_to_value(self, lower):
+        with pytest.raises(ValueError, match="lower envelope must lie"):
+            BoundResult(value=0.5, regime="i", value_lower=lower)
+
+    @pytest.mark.parametrize("value, lower", [
+        (0.5, 0.0), (0.5, 0.5), (math.inf, 0.0), (math.inf, 0.3), (0.0, 0.0)])
+    def test_result_accepts_lower_envelope_in_zero_to_value(self, value,
+                                                            lower):
+        assert BoundResult(value=value, regime="i",
+                           value_lower=lower).value_lower == lower
+
+    def test_inverted_two_sided_envelope_rejected(self):
+        # a small K2 lifts nw_lower's lower envelope (1.207) above its upper
+        # one (0.436)
+        with pytest.raises(ValueError, match="lower envelope must lie"):
+            nw_lower_tail(3.0, 1.0, 0.1, 0.1, K1=1.0, K2=0.001)
+        q = BoundQuery("nw_lower", s=3.0, T=1.0,
+                       constants={"K1": 1.0, "K2": 0.001})
+        with pytest.raises(ValueError, match="lower envelope must lie"):
+            evaluate_query(q)
+
 
 @settings(max_examples=60)
 @given(s=st.floats(0.5, 15.0), T=st.floats(3.5, 1e4),

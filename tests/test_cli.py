@@ -92,6 +92,13 @@ class TestMain:
         ('{"initials": []}', "empty grids: ['initials']"),
         ('{"airy_s": []}', "empty grids: ['airy_s']"),
         ('{"constants": {"k": 5}}', "unknown constants: ['k']"),
+        # shapes the GUE edge sampler refuses, checked before any section
+        ('{"airy_N": 16}', "airy_N must be at least 64, got 16"),
+        ('{"airy_K": 0}', "airy_K must lie in [1, 16], got 0"),
+        ('{"airy_N": 64, "airy_K": 100}', "airy_K must lie in [1, 16]"),
+        # a K2 this small puts nw_lower's lower envelope above its upper one
+        ('{"s_grid": [3.0], "constants": {"K1": 1.0, "K2": 0.001}}',
+         "lower envelope must lie in [0, 0.43"),
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"

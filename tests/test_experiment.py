@@ -82,6 +82,12 @@ class TestConfig:
         dict(airy_n=300.0),
         dict(airy_N=512.0),
         dict(airy_K=10.0),
+        # the GUE edge shapes the airy sampler refuses
+        dict(airy_N=16),
+        dict(airy_N=63),
+        dict(airy_K=0),
+        dict(airy_K=17),
+        dict(airy_N=64, airy_K=100),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ negligible and documented where they are not.
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,8 +56,8 @@ def final_field(initial, T, cfg, seed=0):
 @pytest.fixture
 def zero_noise(monkeypatch):
     """Every noise multiplier exactly 1.0: the solver runs the heat flow."""
-    def ones(gens, w, n_sites, sigma, dtype):
-        return np.ones((w, len(gens), n_sites), dtype=dtype)
+    def ones(gens, w, n_sites, sigma, out, u):
+        return np.ones((len(gens), w, n_sites), dtype=out.dtype)
 
     monkeypatch.setattr(she, "_window_multipliers", ones)
 
@@ -229,6 +230,67 @@ class TestEnsemble:
         b = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=7,
                                n_replicas=10)
         assert np.array_equal(a.Z, b.Z)
+
+    @pytest.mark.parametrize("n, T", [
+        # 293 steps: a full window, then a partial one of odd count 37 * 21
+        (11, 0.293),
+        # 255 steps: one window of odd count, fewer rows than a noise block
+        (5, 0.255),
+    ])
+    def test_window_layout_matches_per_replica_box_muller(self, monkeypatch,
+                                                          n, T):
+        # each window is replica-major, and each replica's row is a plain
+        # Box-Muller transform of its own fresh stream in the same order of
+        # operations, whatever the noise block, the reused buffer and the
+        # odd uniform count do
+        cfg = SolverConfig(dx=0.1, dt=2e-3, extent=1.0)
+        windows = []
+        real = she._window_multipliers
+
+        def spy(*args):
+            mult = real(*args)
+            windows.append((mult, mult.copy()))
+            return mult
+
+        monkeypatch.setattr(she, "usable_cores", lambda: 1)
+        monkeypatch.setattr(she, "_window_multipliers", spy)
+        solve_she_ensemble(Flat(), T=T, cfg=cfg, seed=6, n_replicas=n)
+        steps = round(2.0 * T / cfg.dt)
+        sizes = [min(she._WINDOW, steps - s)
+                 for s in range(0, steps, she._WINDOW)]
+        assert [m.shape for _, m in windows] == [
+            (n, w, cfg.n_sites) for w in sizes]
+        assert all(np.shares_memory(v, windows[0][0]) for v, _ in windows)
+        f32 = np.float32
+        sigma = f32(math.sqrt(cfg.dt / cfg.dx))
+        for r, gen in enumerate(she._replica_generators(6, 0, n)):
+            for w, (_, got) in zip(sizes, windows):
+                count = w * cfg.n_sites
+                half = (count + count % 2) // 2
+                u = gen.random(2 * half, dtype=np.float32)
+                radius = np.sqrt(np.log(f32(1.0) - u[:half]) * f32(-2.0))
+                angle = u[half:] * f32(2.0 * math.pi)
+                g = np.concatenate((np.cos(angle) * radius,
+                                    np.sin(angle) * radius))
+                mult = np.exp(g * sigma - f32(0.5) * sigma * sigma)
+                assert np.array_equal(got[r].reshape(-1), mult[:count])
+
+    def test_noise_memory_is_one_window(self, monkeypatch):
+        # 800 steps: three full windows and a partial one.  Filling a new
+        # window while the last is still referenced, or copying it into a
+        # second layout, peaks above two windows.
+        cfg = SolverConfig(dx=0.1, dt=2.5e-3, extent=4.0)
+        n = 64
+        window = she._WINDOW * n * cfg.n_sites * 4
+        monkeypatch.setattr(she, "usable_cores", lambda: 1)
+        tracemalloc.start()
+        try:
+            solve_she_ensemble(NarrowWedge(), T=1.0, cfg=cfg, seed=2,
+                               n_replicas=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * window
 
     def test_noise_blocking_does_not_change_results(self, monkeypatch):
         # 255 steps make the window's uniform count odd
