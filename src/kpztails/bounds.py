@@ -304,6 +304,8 @@ class BoundQuery:
         if not all(math.isfinite(v) and v > 0 for v in (self.s, self.T)):
             raise ValueError(
                 f"s and T must be finite and positive, got s={self.s}, T={self.T}")
+        if not all(math.isfinite(v) for v in self.constants.values()):
+            raise ValueError(f"constants must be finite, got {self.constants}")
 
     @property
     def side(self) -> Optional[str]:

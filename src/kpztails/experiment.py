@@ -7,11 +7,12 @@ floats are formatted with repr-faithful %.17g, JSON is sorted, and no
 timestamps or environment data enter the outputs.
 
 Sections and the acceptance checks they exercise at the configured scale:
-simulate (first-moment oracle), bounds (envelope tables for every
-theorem), moments (closed form k=1 and the psi sandwich), gibbs (free
-resampler vs free bridge), airy (Laplace identity at T on simulate's
-narrow-wedge samples), report (tail CIs vs clamped envelopes with
-UNTESTABLE-AT-SCALE labeling).
+simulate (first-moment oracle; one narrow-wedge ensemble, whose field
+every other initial's samples are composed from), bounds (envelope tables
+for every theorem), moments (closed form k=1 and the psi sandwich), gibbs
+(acceptance rate vs mean weight under a soft wall), airy (Laplace
+identity at T on simulate's narrow-wedge samples), report (tail CIs vs
+clamped envelopes with UNTESTABLE-AT-SCALE labeling).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .bridges import BridgeSpec, GibbsSpec, gibbs_resample
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
 from .moments import MAX_MOMENT_K, SANDWICH_FACTOR, moment_exact, psi
-from .she import SolverConfig, solve_she_ensemble
+from .she import (SolverConfig, convolve_upsilon_with_f, solve_she_ensemble,
+                  wedge_readout_times)
 from .tails import VIOLATION, bound_violation_report
 
 __all__ = [
@@ -50,8 +52,7 @@ __all__ = [
 ]
 
 # every RNG stream of a run: stream `name` of seed s is seeded s*10 + number
-_STREAM = {"narrow_wedge": 0, "flat": 1, "brownian": 2, "airy_edge": 4,
-           "gibbs": 5, "brownian_path": 7}
+_STREAM = {"narrow_wedge": 0, "airy_edge": 4, "gibbs": 5, "brownian_path": 7}
 
 
 def _stream_seed(seed: int, name: str) -> int:
@@ -140,11 +141,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown constants: {unknown}; "
                              f"choose from {sorted(DEFAULT_CONSTANTS)}")
         # build what the runners build, so that their own checks run now
-        self.solver()
         check_edge_shape(self.airy_N, self.airy_K)
         for theorem in BoundQuery.THEOREMS:
             for s in self.s_grid:
                 evaluate_query(self.query(theorem, s))
+        wedge_readout_times(self.T, self.solver())
 
     def solver(self) -> SolverConfig:
         return SolverConfig(dx=self.dx, dt=self.dt, extent=self.extent)
@@ -228,16 +229,19 @@ def _summarize(out: Path, command: str, config: ExperimentConfig, seed: int,
     return summary
 
 
-def _collect_samples(config: ExperimentConfig, seed: int,
-                     initials: Sequence[str]) -> dict:
-    """Centered/scaled one-point height samples at X = 0 per initial, each
-    from an n_samples-replica ensemble at T on the initial's RNG stream."""
+def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
+    """Centered/scaled one-point height samples at X = 0 for the narrow
+    wedge and each initial, all composed from one n_samples-replica
+    narrow-wedge ensemble at T, read on every site at its last two steps."""
+    cfg = config.solver()
+    wedge = solve_she_ensemble(
+        NarrowWedge(), config.T, cfg, seed=_stream_seed(seed, "narrow_wedge"),
+        n_replicas=config.n_samples,
+        probe_times=wedge_readout_times(config.T, cfg), probe_x=cfg.x_grid)
     samples = {}
-    for name in initials:
+    for name in dict.fromkeys(("narrow_wedge", *config.initials)):
         init = _INITIAL[name]
-        res = solve_she_ensemble(
-            init.data(seed), config.T, config.solver(),
-            seed=_stream_seed(seed, name), n_replicas=config.n_samples)
+        res = convolve_upsilon_with_f(wedge, init.data(seed), config.T, cfg)
         H = res.H[:, -1, :]  # final probe time, X = 0 column
         samples[name] = scale_center_height(H, config.T, init.kind,
                                             y_grid=[0.0]).values[:, 0]
@@ -249,7 +253,7 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
     """Sample scaled heights per initial condition; check the Z first moment."""
     out = _out_dir(out_dir)
     if samples is None:
-        samples = _collect_samples(config, seed, config.initials)
+        samples = _collect_samples(config, seed)
     checks, artifacts = {}, []
     t13 = config.T ** (1.0 / 3.0)
     exact = 1.0 / (2.0 * math.sqrt(math.pi * config.T))
@@ -310,7 +314,8 @@ def run_moments(config: ExperimentConfig, seed: int, out_dir) -> dict:
             sandwich_ok = sandwich_ok and res.in_sandwich
             if k == 1:
                 closed = math.exp(T / 12.0) / (2.0 * math.sqrt(math.pi * T))
-                closed_ok = closed_ok and abs(res.value - closed) <= 1e-8
+                closed_ok = closed_ok and math.isclose(res.value, closed,
+                                                       rel_tol=1e-8)
     path = out / "moments.csv"
     _write_csv(path, ["k", "T", "moment", "psi", "psi69", "in_sandwich",
                       "quad_error"], rows)
@@ -349,8 +354,8 @@ def run_airy(config: ExperimentConfig, seed: int, out_dir,
              samples: Optional[dict] = None) -> dict:
     """Laplace identity: simulated narrow-wedge lhs vs GUE-edge rhs per level."""
     out = _out_dir(out_dir)
-    if samples is None or "narrow_wedge" not in samples:
-        samples = _collect_samples(config, seed, ("narrow_wedge",))
+    if samples is None:
+        samples = _collect_samples(config, seed)
     edges = sample_gue_edge_many(config.airy_N, config.airy_K,
                                  seed=_stream_seed(seed, "airy_edge"),
                                  n_samples=config.airy_n)
@@ -376,7 +381,7 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     """Tail CIs vs clamped envelopes for every initial's theorem pair."""
     out = _out_dir(out_dir)
     if samples is None:
-        samples = _collect_samples(config, seed, config.initials)
+        samples = _collect_samples(config, seed)
     rows = []
     counts = {"CONSISTENT": 0, "VIOLATION": 0, "UNTESTABLE-AT-SCALE": 0}
     for name in config.initials:
@@ -403,7 +408,7 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
     Returns a merged summary; overall status is "pass" iff every section
     passed (UNTESTABLE-AT-SCALE cells never fail a run).  The
     returned summary also carries each section's wall time ("wall_s"; the
-    shared ensembles count to simulate), which is not written to
+    shared ensemble counts to simulate), which is not written to
     summary.json, so the artifacts stay byte-deterministic.
     """
     out = Path(out_dir)
@@ -416,7 +421,7 @@ def run_all(config: ExperimentConfig, seed: int, out_dir) -> dict:
         now = time.perf_counter()
         wall_s[name], lap = now - lap, now
 
-    samples = _collect_samples(config, seed, config.initials)
+    samples = _collect_samples(config, seed)
     record("simulate", run_simulate(config, seed, out, samples))
     record("report", run_report(config, seed, out, samples))
     record("bounds", run_bounds(config, seed, out))

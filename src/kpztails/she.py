@@ -14,6 +14,10 @@ Observables: H = log Z; for delta initial data (total mass 1/dx at the
 origin site) the centered/scaled height (H(2T,0) + T/12)/T^{1/3} is the
 quantity whose moments and tails the rest of the package bounds.
 
+One narrow-wedge ensemble serves every initial condition: the steps are
+linear, the heat step symmetric and the noise diagonal, so Z(2T, 0) of any
+initial data is an exact sum over the wedge field (convolve_upsilon_with_f).
+
 Boundary truncation is Dirichlet zero.  It is certified post hoc: for a
 readout at X the relative effect on E Z is at most the chance a Brownian
 path from X leaves [-L, L] by the final time (general data), or the
@@ -38,24 +42,19 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .initial_data import (
-    InitialData,
-    NarrowWedge,
-    Profile,
-    ScaledHeightSample,
-    make_unscaled_initial,
-)
+from .initial_data import InitialData, NarrowWedge, make_unscaled_initial
 
 __all__ = [
     "SolverConfig",
     "EnsembleResult",
     "solve_she_ensemble",
     "boundary_bias_bound",
+    "wedge_readout_times",
     "convolve_upsilon_with_f",
     "StationarityReport",
     "stationarity_report",
@@ -63,8 +62,6 @@ __all__ = [
     "fkg_joint_vs_product",
     "snap_to_grid",
 ]
-
-_THIRD = 1.0 / 3.0
 
 # the field's float type; readouts accumulate in float64
 _DTYPE = "float32"
@@ -86,10 +83,10 @@ class SolverConfig:
     extent: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.dx > 0.0:
-            raise ValueError("dx must be positive")
-        if not self.extent >= self.dx:
-            raise ValueError("extent must cover at least one step")
+        if not (math.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError(f"dx must be finite and positive, got {self.dx}")
+        if not (math.isfinite(self.extent) and self.extent >= self.dx):
+            raise ValueError("extent must be finite and cover one step")
         if self.dt is not None and not 0.0 < self.dt <= self.dx**2 / 2.0:
             raise ValueError(
                 f"stability requires 0 < dt <= dx^2/2 = {self.dx**2 / 2:g}, "
@@ -331,7 +328,8 @@ def solve_she_ensemble(
     row, and readouts are stored in replica order, so neither _CHUNK nor
     the worker count can change them.  Brownian initial data is
     held fixed across replicas (quenched path from the initial condition's
-    own seed); the dynamical noise varies.
+    own seed); the dynamical noise varies.  A run makes one call, for the
+    narrow wedge, and composes the other initial data from its readout.
 
     _CHUNK bounds the replicas in flight across all workers together:
     run_row_blocks splits each chunk into W = min(usable_cores(), rows)
@@ -339,7 +337,7 @@ def solve_she_ensemble(
     next chunk starts when all of them are done.  Memory is one chunk's
     noise window, written in place into one buffer per block, plus W
     Box-Muller scratch blocks of _NOISE_ROWS replicas' uniforms (about
-    2 MB each in float32 on a 241-site lattice).
+    2 MB each in float32 on a 241-site lattice), plus the float64 readout.
     """
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:
@@ -393,48 +391,42 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
     return float(min(exit_bound, image))
 
 
-def convolve_upsilon_with_f(
-    upsilon: ScaledHeightSample,
-    f: Optional[Profile],
-    T: float,
-    edge_tol: float = 1e-6,
-) -> Union[float, np.ndarray]:
-    """h at X=0 from spatial narrow-wedge samples and an initial profile:
+def wedge_readout_times(T: float, cfg: SolverConfig) -> tuple:
+    """(2T - dt, 2T), the wedge readouts that convolve_upsilon_with_f needs."""
+    steps, dt = _time_steps(T, cfg)
+    if steps < 2:
+        raise ValueError(f"2T = {2.0 * T:g} must span two or more steps")
+    return (2.0 * T - dt, 2.0 * T)
 
-        T^{-1/3} log int exp(T^{1/3} (Upsilon(y) + f(-y))) dy
 
-    by log-sum-exp trapezoid quadrature on the sample's y grid.  f = None
-    means f identically 0.  A 2-d values array (replicas by grid) returns
-    one h per replica.  If the integrand at either grid edge is not
-    negligible against its peak, a truncation warning carries the crude
-    plateau bound (edge weight times grid span, relative to the integral).
+def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
+                            T: float, cfg: SolverConfig) -> EnsembleResult:
+    """Readout at (2T, 0) for initial data Z_0, composed from the wedge
+    field W read on every site at wedge_readout_times(T, cfg):
+
+        Z(2T, 0) = dx d sum_x Z_0(x) (H W_{n-1})(x),  d = W_n(0) / (H W_{n-1})(0),
+
+    H one heat step: the lattice form of h^f(0) = T^{-1/3} log int
+    exp(T^{1/3}(Upsilon(y) + f(-y))) dy.  H is symmetric and the noise
+    diagonal, so this is exactly the direct run under the wedge's noise
+    E_{n-1}, ..., E_1, E_n; d is E_n at the origin, independent of W_{n-1},
+    so each replica has a direct readout's law.  The narrow wedge returns
+    W_n(0) as read.
     """
-    if upsilon.kind != "upsilon":
-        raise ValueError("convolution needs narrow-wedge (upsilon) samples")
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    y = upsilon.y_grid
-    if y.size < 2:
-        raise ValueError("need at least two grid points")
-    t13 = T**_THIRD
-    vals = np.atleast_2d(upsilon.values)
-    fv = np.zeros(y.size) if f is None else np.asarray(f(-y), dtype=float)
-    u = t13 * (vals + fv[None, :])
-    m = np.max(u, axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("integrand vanishes identically (f = -inf everywhere)")
-    w = np.exp(u - m)
-    integral = np.trapezoid(w, y, axis=1)
-    edge = np.maximum(w[:, 0], w[:, -1])
-    rel_tail = float(np.max(edge * (y[-1] - y[0]) / integral))
-    if rel_tail > edge_tol:
-        warnings.warn(
-            f"integrand not negligible at the grid edge: estimated relative "
-            f"truncation bound {rel_tail:.3g}", RuntimeWarning, stacklevel=2)
-    h = (m[:, 0] + np.log(integral)) / t13
-    if np.ndim(upsilon.values) == 1:
-        return float(h[0])
-    return h
+    times = wedge_readout_times(T, cfg)
+    if wedge.Z.shape[1:] != (2, cfg.n_sites) or not np.allclose(
+            wedge.probe_times, times):
+        raise ValueError("need the wedge field on every site at (2T - dt, 2T)")
+    origin = cfg.n_sites // 2
+    Z = wedge.Z[:, 1, origin]
+    if not isinstance(initial, NarrowWedge):
+        _, dt = _time_steps(T, cfg)
+        HW = np.empty_like(wedge.Z[:, 0])
+        _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW,
+                   dt / (2.0 * cfg.dx**2))
+        Z = cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, T, cfg))
+    return EnsembleResult(probe_times=np.array(times[1:]),
+                          probe_x=np.zeros(1), Z=Z.reshape(-1, 1, 1))
 
 
 @dataclass(frozen=True)

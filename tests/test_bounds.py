@@ -292,6 +292,13 @@ class TestQueryDispatch:
         with pytest.raises(ValueError, match="finite and positive"):
             BoundQuery("nw_lower", s=s, T=T)
 
+    @pytest.mark.parametrize("constants", [
+        {"s0": math.nan}, {"K": math.inf}, {"K1": -math.inf}])
+    def test_non_finite_constant_rejected(self, constants):
+        # s < NaN is false, so a NaN s0 would drop the validity threshold
+        with pytest.raises(ValueError, match="constants must be finite"):
+            BoundQuery("nw_upper", s=1.0, T=8.0, constants=constants)
+
     @pytest.mark.parametrize("T", [1.0, 4.0])
     @pytest.mark.parametrize("s", [1e200, 1e300])
     @pytest.mark.parametrize("theorem", BoundQuery.THEOREMS)

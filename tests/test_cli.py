@@ -92,6 +92,9 @@ class TestMain:
         ('{"initials": []}', "empty grids: ['initials']"),
         ('{"airy_s": []}', "empty grids: ['airy_s']"),
         ('{"constants": {"k": 5}}', "unknown constants: ['k']"),
+        ('{"constants": {"s0": NaN}}', "constants must be finite"),
+        # would end in an OverflowError in the solver
+        ('{"extent": Infinity}', "extent must be finite"),
         # shapes the GUE edge sampler refuses, checked before any section
         ('{"airy_N": 16}', "airy_N must be at least 64, got 16"),
         ('{"airy_K": 0}', "airy_K must lie in [1, 16], got 0"),
@@ -145,6 +148,19 @@ class TestMain:
         assert (tmp_path / "gibbs_paths.csv").exists()
         assert (tmp_path / "airy.csv").exists()
         assert (tmp_path / "bounds.csv").exists()
+
+
+    def test_flat_only_simulate_matches_all(self, tmp_path, tiny_json):
+        # flat samples are composed from the run's narrow-wedge ensemble,
+        # whatever else the run simulates or writes
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({**TINY, "initials": ["flat"]}))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out-dir", str(tmp_path / "flat")]) == 0
+        assert cli.main(["all", "--config", str(tiny_json),
+                         "--out-dir", str(tmp_path / "all")]) == 0
+        assert ((tmp_path / "flat" / "samples_flat.csv").read_bytes()
+                == (tmp_path / "all" / "samples_flat.csv").read_bytes())
 
 
 class TestInstalledScript:

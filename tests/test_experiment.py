@@ -13,6 +13,7 @@ from kpztails.airy import laplace_lhs
 from kpztails.bounds import BoundQuery
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
                                  run_airy, run_all, run_gibbs, run_moments)
+from kpztails.initial_data import NarrowWedge
 
 # small enough for the whole bundle to run in about a second
 TINY = dict(n_samples=60, s_grid=(1.0, 2.0), gibbs_n=20, airy_n=40,
@@ -56,11 +57,16 @@ class TestConfig:
         # the lattices the runners build
         dict(dt=0.01),
         dict(extent=0.01),
+        dict(extent=math.inf),
+        dict(dx=math.inf),
+        # the narrow-wedge composition reads the field one step before 2T
+        dict(T=1e-4),
         # the envelope parameters every theorem family checks
         dict(eps=0.4),
         dict(mu=0.6),
         dict(zeta=0.2),
         dict(constants={"K": -1.0}),
+        dict(constants={"s0": math.nan}),
         # the rules nothing else states
         dict(alpha=2.0),
         dict(alpha=0.0),
@@ -301,23 +307,26 @@ class TestAiryCheck:
 class TestStreams:
     def test_seeds_share_no_solver_stream(self, tiny_cfg, tmp_path,
                                           monkeypatch):
-        # a run makes one ensemble per initial, and each draws from replica
-        # streams that no ensemble of another seed draws from
+        # a run makes one narrow-wedge ensemble whatever its initials, on
+        # replica streams that no ensemble of another seed draws from
         real = experiment.solve_she_ensemble
-        seeds = []
+        calls = []
 
         def record(*args, **kwargs):
-            seeds.append(kwargs["seed"])
+            calls.append((args[0], kwargs["seed"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "solve_she_ensemble", record)
         used = {}
         for seed in (0, 3):
-            seeds.clear()
-            run_all(tiny_cfg, seed, tmp_path / str(seed))
-            used[seed] = set(seeds)
-            assert len(used[seed]) == len(seeds) == len(tiny_cfg.initials)
-        assert used[0].isdisjoint(used[3]), (used[0], used[3])
+            for initials in (tiny_cfg.initials, ("flat",)):
+                calls.clear()
+                run_all(replace(tiny_cfg, initials=initials), seed,
+                        tmp_path / f"{seed}{len(initials)}")
+                assert [type(initial) for initial, _ in calls] == [NarrowWedge]
+                used.setdefault(seed, calls[0][1])
+                assert calls[0][1] == used[seed]
+        assert used[0] != used[3]
 
 
 class TestPartialRuns:
@@ -331,3 +340,21 @@ class TestPartialRuns:
             T = float(r[1])
             closed = math.exp(T / 12.0) / (2.0 * math.sqrt(math.pi * T))
             assert float(r[2]) == pytest.approx(closed, abs=1e-10)
+
+    def test_moments_closed_form_check_is_relative(self, tmp_path,
+                                                   monkeypatch):
+        # at T = 300 the moment is 1.2e9, so rounding alone exceeds any
+        # fixed absolute tolerance of 1e-8
+        cfg = ExperimentConfig(**{**TINY, "moments_k": (1,),
+                                  "moments_T": (300.0, 1000.0)})
+        assert run_moments(cfg, 0, tmp_path)["checks"]["k1_closed_form"]
+        real = experiment.moment_exact
+
+        def perturbed(k, T):
+            res = real(k, T)
+            return replace(res, value=res.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(experiment, "moment_exact", perturbed)
+        summary = run_moments(cfg, 0, tmp_path)
+        assert summary["checks"]["k1_closed_form"] is False
+        assert summary["status"] == "fail"

@@ -34,7 +34,6 @@ SRC = ROOT / "src" / "kpztails"
 
 # unreached definitions and the ROADMAP direction that wires each of them
 PENDING = {
-    "convolve_upsilon_with_f": "direction 4",
     "validate_hyp": "direction 4",
     "load_profile_csv": "direction 4",
     "markov_upper_tail": "direction 5",

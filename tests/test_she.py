@@ -11,7 +11,6 @@ negligible and documented where they are not.
 import math
 import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +21,10 @@ from scipy import stats
 from kpztails.initial_data import (
     BrownianTwoSided,
     Flat,
+    GeneralScaled,
+    HypParams,
     NarrowWedge,
     Profile,
-    ScaledHeightSample,
 )
 from kpztails import she
 from kpztails.she import (
@@ -36,6 +36,7 @@ from kpztails.she import (
     snap_to_grid,
     solve_she_ensemble,
     stationarity_report,
+    wedge_readout_times,
 )
 
 LOG_INV_SQRT_2PI = -0.9189385332046727
@@ -103,6 +104,11 @@ class TestSolverConfig:
             SolverConfig(dx=0.0)
         with pytest.raises(ValueError):
             SolverConfig(dx=0.1, extent=0.05)
+        # an infinite extent would end in an OverflowError in the solver
+        for bad in (dict(extent=math.inf), dict(dx=math.inf),
+                    dict(dx=math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**bad)
 
 
 class TestColeHopf:
@@ -493,80 +499,136 @@ class TestBoundaryBias:
             boundary_bias_bound(2.0, 1.0, X=2.0)
 
 
+def fixed_noise(monkeypatch, mult):
+    """Every replica draws the (steps, n_sites) multipliers mult."""
+    def fixed(gens, w, n_sites, sigma, out, u):
+        return np.broadcast_to(mult, (len(gens), w, n_sites))
+
+    monkeypatch.setattr(she, "_window_multipliers", fixed)
+
+
+HYP = HypParams(C=1.0, nu=0.5, theta=0.5, kappa=1.0, M=1.0)
+
+
+def profile(y, f):
+    return GeneralScaled(Profile(y=np.asarray(y, float),
+                                 f=np.asarray(f, float)), HYP)
+
+
 class TestConvolve:
+    CFG = SolverConfig(dx=0.2, extent=2.0)
+    T = 0.3  # 60 steps, one noise window
+
+    def wedge(self, n_replicas=1, seed=0, cfg=None, T=None):
+        cfg, T = cfg or self.CFG, T or self.T
+        return solve_she_ensemble(NarrowWedge(), T, cfg, seed=seed,
+                                  n_replicas=n_replicas,
+                                  probe_times=wedge_readout_times(T, cfg),
+                                  probe_x=cfg.x_grid)
+
+    @pytest.mark.usefixtures("float64")
+    @pytest.mark.parametrize("initial", [
+        NarrowWedge(), Flat(), BrownianTwoSided(seed=3),
+        profile([-1.5, 0.0, 1.0, 2.0], [-0.5, 0.4, -1.0, -np.inf]),
+    ])
+    def test_equals_direct_run_under_reversed_noise(self, monkeypatch,
+                                                    initial):
+        # the composed value under wedge noise (E_1, ..., E_n) is the direct
+        # run's under (E_{n-1}, ..., E_1, E_n), up to rounding
+        steps, _ = she._time_steps(self.T, self.CFG)
+        g = np.random.default_rng(1).standard_normal((steps, self.CFG.n_sites))
+        mult = np.exp(0.3 * g - 0.045)
+        fixed_noise(monkeypatch, mult)
+        derived = convolve_upsilon_with_f(self.wedge(), initial, self.T,
+                                          self.CFG)
+        fixed_noise(monkeypatch, np.concatenate((mult[-2::-1], mult[-1:])))
+        direct = solve_she_ensemble(initial, self.T, self.CFG, seed=0,
+                                    n_replicas=1)
+        assert derived.Z.shape == direct.Z.shape == (1, 1, 1)
+        np.testing.assert_array_equal(derived.probe_times, direct.probe_times)
+        assert derived.Z[0, 0, 0] == pytest.approx(direct.Z[0, 0, 0],
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("initial", [Flat(), BrownianTwoSided(seed=8)])
+    def test_same_law_as_direct_run(self, initial):
+        cfg, T, n = SolverConfig(dx=0.1, extent=3.0), 0.5, 2000
+        derived = convolve_upsilon_with_f(self.wedge(n, 1, cfg, T), initial,
+                                          T, cfg)
+        direct = solve_she_ensemble(initial, T, cfg, seed=2, n_replicas=n)
+        res = stats.ks_2samp(derived.H[:, 0, 0], direct.H[:, 0, 0])
+        assert res.pvalue > 1e-3
+
+    @pytest.mark.usefixtures("zero_noise", "float64")
+    def test_flat_profile_gaussian_integral(self):
+        # under the heat flow the flat value is the wedge's total mass, the
+        # lattice Gaussian integral dx sum_x p(x) = 1
+        cfg = SolverConfig(dx=0.05, extent=8.0)
+        z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, 0.5), Flat(), 0.5,
+                                    cfg).Z[0, 0, 0]
+        assert z == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.usefixtures("zero_noise", "float64")
     def test_constant_on_window(self):
-        y = np.arange(-5.0, 5.0 + 1e-12, 0.002)
-        ups = ScaledHeightSample(T=1.0, y_grid=y,
-                                 values=np.full(y.size, 0.3), kind="upsilon")
-        prof = Profile(y=np.array([-1.0, 1.0]), f=np.array([0.0, 0.0]))
-        h = convolve_upsilon_with_f(ups, prof, T=1.0)
-        assert h == pytest.approx(0.3 + math.log(2.0), abs=5e-3)
+        # f = 0 on |y| <= 1, -inf outside: under the heat flow the value is
+        # the chance that B(2T) lands in |x| <= (2T)^{2/3} = 1 at T = 1/2,
+        # and the lattice counts both end sites whole
+        cfg, T = SolverConfig(dx=0.05, extent=4.0), 0.5
+        window = profile([-1.0, 1.0], [0.0, 0.0])
+        z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, T), window, T,
+                                    cfg).Z[0, 0, 0]
+        direct = solve_she_ensemble(window, T, cfg, seed=0, n_replicas=1)
+        assert z == pytest.approx(direct.Z[0, 0, 0], rel=1e-12)
+        ends = cfg.dx * heat_kernel(1.0, 1.0)
+        assert z == pytest.approx(math.erf(1.0 / math.sqrt(2.0)) + ends,
+                                  abs=1e-3)
 
     def test_narrow_window_limit(self):
-        y = np.linspace(-0.01, 0.01, 2001)
-        ups = ScaledHeightSample(T=1.0, y_grid=y,
-                                 values=-y**2 / 2.0**(2.0 / 3.0),
-                                 kind="upsilon")
-        w = 1e-3
-        prof = Profile(y=np.array([-w / 2.0, w / 2.0]), f=np.array([0.0, 0.0]))
-        h = convolve_upsilon_with_f(ups, prof, T=1.0)
-        assert h == pytest.approx(math.log(w), abs=0.01)
-
-    def test_flat_profile_gaussian_integral(self):
-        y = np.linspace(-6.0, 6.0, 1201)
-        ups = ScaledHeightSample(T=1.0, y_grid=y,
-                                 values=-y**2 / 2.0**(2.0 / 3.0),
-                                 kind="upsilon")
-        h = convolve_upsilon_with_f(ups, None, T=1.0)
-        exact = math.log(2.0**(1.0 / 3.0) * math.sqrt(math.pi))
-        assert exact == pytest.approx(0.8034140031113485, rel=1e-12)
-        assert h == pytest.approx(exact, abs=1e-6)
-
-    def test_truncation_warning(self):
-        y = np.linspace(-1.0, 1.0, 101)
-        ups = ScaledHeightSample(T=1.0, y_grid=y, values=np.zeros(y.size),
-                                 kind="upsilon")
-        with pytest.warns(RuntimeWarning, match="truncation"):
-            convolve_upsilon_with_f(ups, None, T=1.0)
-
-    def test_batched_rows_match_scalar_calls(self):
-        y = np.linspace(-6.0, 6.0, 1201)
-        rows = np.vstack([np.full(y.size, 0.1),
-                          -y**2 / 2.0**(2.0 / 3.0),
-                          np.full(y.size, -1.0)])
-        batch = ScaledHeightSample(T=1.0, y_grid=y, values=rows, kind="upsilon")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            hb = convolve_upsilon_with_f(batch, None, T=1.0)
-            singles = [convolve_upsilon_with_f(
-                ScaledHeightSample(T=1.0, y_grid=y, values=r, kind="upsilon"),
-                None, T=1.0) for r in rows]
-        assert hb.shape == (3,)
-        np.testing.assert_allclose(hb, singles, rtol=1e-14)
+        # a window holding the origin site alone gives dx times the wedge
+        w = self.wedge(n_replicas=3)
+        y0 = self.CFG.dx / (2.0 * self.T) ** (2.0 / 3.0) / 2.0
+        z = convolve_upsilon_with_f(w, profile([-y0, y0], [0.0, 0.0]),
+                                    self.T, self.CFG).Z[:, 0, 0]
+        origin = self.CFG.n_sites // 2
+        np.testing.assert_allclose(z, self.CFG.dx * w.Z[:, 1, origin],
+                                   rtol=1e-14)
 
     def test_scale_shift_in_T(self):
-        # constant integrand: h = c + T^{-1/3} log(span)
-        y = np.linspace(-2.0, 2.0, 401)
-        ups = ScaledHeightSample(T=8.0, y_grid=y, values=np.full(y.size, -0.7),
-                                 kind="upsilon")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            h = convolve_upsilon_with_f(ups, None, T=8.0)
-        assert h == pytest.approx(-0.7 + math.log(4.0) / 2.0, abs=1e-9)
+        # f + c multiplies Z_0 by exp(T^{1/3} c), so h shifts by c exactly
+        w, c = self.wedge(n_replicas=3), 0.7
+        y, f = [-2.0, 0.5, 3.0], [-0.3, 0.2, -1.0]
+        h = [convolve_upsilon_with_f(w, profile(y, np.add(f, shift)), self.T,
+                                     self.CFG).H[:, 0, 0]
+             for shift in (0.0, c)]
+        np.testing.assert_allclose((h[1] - h[0]) / self.T ** (1.0 / 3.0), c,
+                                   rtol=1e-12)
+
+    def test_batched_rows_match_scalar_calls(self):
+        w = self.wedge(n_replicas=3)
+        batch = convolve_upsilon_with_f(w, Flat(), self.T, self.CFG).Z
+        for r in range(3):
+            row = EnsembleResult(probe_times=w.probe_times,
+                                 probe_x=w.probe_x, Z=w.Z[r:r + 1])
+            single = convolve_upsilon_with_f(row, Flat(), self.T, self.CFG)
+            np.testing.assert_allclose(single.Z, batch[r:r + 1], rtol=1e-15)
+
+    def test_narrow_wedge_is_the_origin_readout(self):
+        w = self.wedge(n_replicas=3)
+        res = convolve_upsilon_with_f(w, NarrowWedge(), self.T, self.CFG)
+        assert np.array_equal(res.Z[:, 0, 0], w.Z[:, 1, self.CFG.n_sites // 2])
 
     def test_validation(self):
-        y = np.linspace(-1.0, 1.0, 5)
-        general = ScaledHeightSample(T=1.0, y_grid=y, values=np.zeros(5),
-                                     kind="general")
-        with pytest.raises(ValueError, match="upsilon"):
-            convolve_upsilon_with_f(general, None, T=1.0)
-        ups = ScaledHeightSample(T=1.0, y_grid=y, values=np.zeros(5),
-                                 kind="upsilon")
-        with pytest.raises(ValueError, match="positive"):
-            convolve_upsilon_with_f(ups, None, T=0.0)
-        far = Profile(y=np.array([10.0, 11.0]), f=np.array([0.0, 0.0]))
-        with pytest.raises(ValueError, match="vanishes"):
-            convolve_upsilon_with_f(ups, far, T=1.0)
+        final_only = solve_she_ensemble(NarrowWedge(), self.T, self.CFG,
+                                        seed=0, n_replicas=1,
+                                        probe_x=self.CFG.x_grid)
+        with pytest.raises(ValueError, match="every site"):
+            convolve_upsilon_with_f(final_only, Flat(), self.T, self.CFG)
+        origin_only = solve_she_ensemble(
+            NarrowWedge(), self.T, self.CFG, seed=0, n_replicas=1,
+            probe_times=wedge_readout_times(self.T, self.CFG))
+        with pytest.raises(ValueError, match="every site"):
+            convolve_upsilon_with_f(origin_only, Flat(), self.T, self.CFG)
+        with pytest.raises(ValueError, match="two or more"):
+            wedge_readout_times(self.CFG.dt_value / 2.0, self.CFG)
 
 
 class TestStationarity:
