@@ -351,10 +351,10 @@ def solve_she_ensemble(
             f"probe times must be step multiples in (0, {t_final:g}], dt = {dt:g}")
 
     x_snap = snap_to_grid(probe_x, cfg.dx)
-    if np.any(np.abs(x_snap) > cfg.extent):
-        raise ValueError("probe positions outside the lattice extent")
-    half = round(cfg.extent / cfg.dx)
+    half = cfg.n_sites // 2
     x_idx = np.round(x_snap / cfg.dx).astype(int) + half
+    if np.any(np.abs(x_idx - half) > half):
+        raise ValueError("probe positions outside the lattice extent")
 
     Z0 = _initial_Z(initial, T, cfg).astype(_DTYPE)
     out = np.empty((n_replicas, times.size, x_snap.size), dtype=np.float64)

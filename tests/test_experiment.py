@@ -330,6 +330,18 @@ class TestStreams:
 
 
 class TestPartialRuns:
+    @pytest.mark.parametrize("lattice", [dict(dx=0.06, extent=4.0),
+                                         dict(extent=4.03),
+                                         dict(dx=0.1, extent=0.3)])
+    def test_lattice_end_site_past_extent(self, lattice, tmp_path):
+        # the whole-field readout reaches dx * round(extent / dx) > extent
+        cfg = ExperimentConfig(**{**TINY, **lattice})
+        experiment.run_simulate(cfg, 0, tmp_path)
+        for name in cfg.initials:
+            samples = _read_samples(tmp_path / f"samples_{name}.csv")
+            assert samples.size == cfg.n_samples
+            assert np.all(np.isfinite(samples))
+
     def test_moments_closed_form_check(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "moments_k": (1,),
                                   "moments_T": (0.5, 2.0)})

@@ -402,6 +402,18 @@ class TestEnsemble:
             solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
                                n_replicas=2, probe_x=(2.5,))
 
+    @pytest.mark.parametrize("dx,extent", [(0.06, 4.0), (0.05, 4.03),
+                                           (0.1, 0.3)])
+    def test_every_lattice_site_is_a_probe(self, dx, extent):
+        # the end site dx * round(extent / dx) may lie just past extent
+        cfg = SolverConfig(dx=dx, extent=extent)
+        r = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=cfg, seed=1,
+                               n_replicas=2, probe_x=cfg.x_grid)
+        np.testing.assert_array_equal(r.probe_x, cfg.x_grid)
+        with pytest.raises(ValueError, match="extent"):
+            solve_she_ensemble(NarrowWedge(), T=0.5, cfg=cfg, seed=1,
+                               n_replicas=2, probe_x=(cfg.x_grid[-1] + dx,))
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="replica"):
             solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
