@@ -63,6 +63,10 @@ def main(argv=None) -> int:
         config = preset_config(args.preset, overrides)
     except (OSError, TypeError, ValueError) as exc:  # bad file, field or value
         parser.error(f"--config {args.config}: {exc}")
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        parser.error(f"--out-dir {args.out_dir}: {exc}")
     summary = _RUNNERS[args.command](config, args.seed, args.out_dir)
     for name, ok in summary.get("checks", {}).items():
         print(f"{args.command}/{name}: {'pass' if ok else 'FAIL'}")

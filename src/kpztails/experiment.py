@@ -115,6 +115,12 @@ class ExperimentConfig:
         # a dict of its own, so that editing the caller's dict, a preset's
         # or another config's cannot edit this one
         object.__setattr__(self, "constants", dict(self.constants))
+        # bool is an int subclass, so true would pass as 1
+        booleans = [f.name for f in fields(self)
+                    if any(isinstance(v, bool) for v in _entries(
+                        getattr(self, f.name)))]
+        if booleans:
+            raise ValueError(f"booleans are not numbers: {booleans}")
         not_int = [name for name in _COUNT_FIELDS
                    if not isinstance(getattr(self, name), int)]
         if not_int:
@@ -124,6 +130,10 @@ class ExperimentConfig:
         empty = [name for name in _TUPLE_FIELDS if not getattr(self, name)]
         if empty:
             raise ValueError(f"empty grids: {empty}")
+        repeated = [name for name in _TUPLE_FIELDS
+                    if _has_duplicates(getattr(self, name))]
+        if repeated:
+            raise ValueError(f"duplicate grid entries: {repeated}")
         bad = [i for i in self.initials if i not in _INITIAL]
         if bad:
             raise ValueError(f"unknown initial data names: {bad}")
@@ -158,6 +168,19 @@ class ExperimentConfig:
 
 _TUPLE_FIELDS = ("initials", "s_grid", "airy_s", "moments_k", "moments_T")
 _COUNT_FIELDS = ("n_samples", "gibbs_n", "airy_n", "airy_N", "airy_K")
+
+
+def _entries(value) -> tuple:
+    """A field's scalars: a grid's entries, the constants' values, or itself."""
+    if isinstance(value, dict):
+        return tuple(value.values())
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _has_duplicates(grid: tuple) -> bool:
+    # == rather than a set: 1 and 1.0 name one grid point, and entries of
+    # the wrong type need not be hashable
+    return any(a == b for i, a in enumerate(grid) for b in grid[:i])
 
 
 def _config_fields(d: dict) -> dict:

@@ -20,9 +20,11 @@ initial data is an exact sum over the wedge field (convolve_upsilon_with_f).
 
 Boundary truncation is Dirichlet zero.  It is certified post hoc: for a
 readout at X the relative effect on E Z is at most the chance a Brownian
-path from X leaves [-L, L] by the final time (general data), or the
-reflection-image correction 2 exp(-((2L-|X|)^2 - X^2)/(2t)) of the killed
-kernel (delta data at the origin).
+path from X touches L or -L before the final time, which the reflection
+principle bounds by 2 Phi_bar((L-|X|)/sqrt t) + 2 Phi_bar((L+|X|)/sqrt t)
+(general data), or the reflection-image correction
+2 exp(-((2L-|X|)^2 - X^2)/(2t)) of the killed kernel (delta data at the
+origin).
 
 Replicas own independent PCG64 streams seeded by (master seed, replica
 index), and every noise and stencil operation acts row by row, so every
@@ -376,15 +378,20 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
                         delta_init: bool = False) -> float:
     """Relative effect of the Dirichlet truncation on E Z(t, X).
 
-    General data: bounded by the exit probability 2 Phi_bar((L-|X|)/sqrt t).
-    Delta data at the origin: the sharper reflection-image correction of
-    the killed heat kernel, 2 exp(-((2L-|X|)^2 - X^2)/(2t)).
+    General data: the truncation kills every path from X that touches L or
+    -L before time t.  By the reflection principle each wall is touched
+    with chance 2 Phi_bar(distance/sqrt t), so the bound is
+    2 Phi_bar((L-|X|)/sqrt t) + 2 Phi_bar((L+|X|)/sqrt t), capped at 1.
+    Delta data at the origin: the smaller of that and the reflection-image
+    correction of the killed heat kernel, 2 exp(-((2L-|X|)^2 - X^2)/(2t)).
     """
     if not (extent > 0.0 and t > 0.0):
         raise ValueError("extent and t must be positive")
     if abs(X) >= extent:
         raise ValueError("readout outside the domain")
-    exit_bound = 2.0 * ndtr((abs(X) - extent) / math.sqrt(t))
+    root_t = math.sqrt(t)
+    exit_bound = min(1.0, 2.0 * ndtr((abs(X) - extent) / root_t)
+                     + 2.0 * ndtr((-abs(X) - extent) / root_t))
     if not delta_init:
         return float(exit_bound)
     image = 2.0 * math.exp(-((2.0 * extent - abs(X)) ** 2 - X * X) / (2.0 * t))

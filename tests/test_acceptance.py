@@ -3,6 +3,11 @@
 Each test prints one pass/fail line under pytest -v.  Claims with stated
 runtime budgets assert them.  The Monte Carlo claims pin seeds, so the
 suite is deterministic end to end.
+
+Three solver ensembles back the Monte Carlo claims: c01's, c11's, and
+one narrow-wedge field at T = 1 (nw_t1) that c10, c12 and c13 share.
+c13 composes its flat and Brownian samples from that field with
+she.convolve_upsilon_with_f, the identity every run uses.
 """
 
 import math
@@ -23,18 +28,42 @@ from kpztails.initial_data import (BrownianTwoSided, Flat, NarrowWedge,
 from kpztails.moments import (Partition, cauchy_det_check,
                               enumerate_partitions, moment_exact,
                               partition_cubic_gap, psi, siegel_check)
-from kpztails.she import (SolverConfig, fkg_joint_vs_product,
-                          solve_she_ensemble, stationarity_report)
+from kpztails.she import (EnsembleResult, SolverConfig,
+                          convolve_upsilon_with_f, fkg_joint_vs_product,
+                          solve_she_ensemble, stationarity_report,
+                          wedge_readout_times)
 from kpztails.tails import UNTESTABLE, VIOLATION, bound_violation_report
 
 DX = 0.05
 DT = 1.25e-3  # stability boundary dx^2/2; halves the step count
 CONSTANTS = {"K": 1.0, "K1": 1.0, "K2": 1.0, "s0": 0.0}
+NW_CFG = SolverConfig(dx=DX, dt=DT, extent=6.0)  # nw_t1's lattice
+# the lattice indices of the positions X in {0, 0.8, 1.6} that c10 and
+# c12 read
+NW_IDX = [NW_CFG.n_sites // 2 + round(x / DX) for x in (0.0, 0.8, 1.6)]
 
 
-def _upsilon(res, T, kind, time_idx=-1, x_idx=0):
-    H = res.H[:, time_idx, x_idx:x_idx + 1]
+def _upsilon(res, T, kind):
+    """Centered/scaled height at the last probe time and the first position."""
+    H = res.H[:, -1, :1]
     return scale_center_height(H, T, kind, y_grid=[0.0]).values[:, 0]
+
+
+def _nw_heights(nw, time_idx):
+    """log Z of nw_t1 at one probe time and the sites NW_IDX.
+
+    Only these columns are logged: far sites of the field may read 0.
+    """
+    return np.log(nw.Z[:, time_idx, NW_IDX])
+
+
+def _composed(nw, initial, kind, rows=slice(None)):
+    """Scaled heights of `initial` at T = 1 on the replicas `rows`, composed
+    from nw_t1's field at (2 - dt, 2) as every run composes its samples."""
+    wedge = EnsembleResult(probe_times=nw.probe_times[1:], probe_x=nw.probe_x,
+                           Z=nw.Z[rows, 1:])
+    return _upsilon(convolve_upsilon_with_f(wedge, initial, 1.0, NW_CFG),
+                    1.0, kind)
 
 
 # ----------------------------------------------------------- shared runs
@@ -52,32 +81,13 @@ def first_moment_run():
 
 @pytest.fixture(scope="module")
 def nw_t1():
-    # narrow wedge at T=1 probed at two times and three positions; shared
-    # by the stationarity, association, and envelope-verdict claims
+    # narrow wedge at T=1 on every site at t in {1, 2 - dt, 2}: c10 and c12
+    # read its columns NW_IDX, and c13 composes general data from the
+    # field at the last two times
     return solve_she_ensemble(
-        NarrowWedge(), 1.0, SolverConfig(dx=DX, dt=DT, extent=6.0),
-        seed=2024, n_replicas=10**4, probe_times=[1.0, 2.0],
-        probe_x=[0.0, 0.8, 1.6])
-
-
-@pytest.fixture(scope="module")
-def flat_t1():
-    return solve_she_ensemble(
-        Flat(), 1.0, SolverConfig(dx=DX, dt=DT, extent=6.0),
-        seed=2025, n_replicas=10**4)
-
-
-@pytest.fixture(scope="module")
-def brownian_t1_samples():
-    # the Brownian-data theorems average over the initial path as well as
-    # the noise, so the ensemble spans 10 independent quenched paths
-    cfg = SolverConfig(dx=DX, dt=DT, extent=6.0)
-    chunks = []
-    for j in range(10):
-        res = solve_she_ensemble(BrownianTwoSided(seed=7000 + j), 1.0, cfg,
-                                 seed=3000 + j, n_replicas=1000)
-        chunks.append(_upsilon(res, 1.0, "general"))
-    return np.concatenate(chunks)
+        NarrowWedge(), 1.0, NW_CFG, seed=2024, n_replicas=10**4,
+        probe_times=[1.0, *wedge_readout_times(1.0, NW_CFG)],
+        probe_x=NW_CFG.x_grid)
 
 
 @pytest.fixture(scope="module")
@@ -214,11 +224,10 @@ def test_c09_monotone_dominance():
 
 def test_c10_stationarity(nw_t1):
     """Upsilon(y) + y^2/2^{2/3} has the same one-point law across y."""
-    # probe positions snap to the lattice, so y sits at X/2^{2/3} for
-    # X in {0, 0.8, 1.6}; the statement holds for every y
-    X = nw_t1.probe_x
-    y = X / 2.0 ** (2.0 / 3.0)
-    vals = scale_center_height(nw_t1.H[:, 1, :], 1.0, "upsilon", y).values
+    # y sits at X/2^{2/3} for the lattice sites X of NW_IDX; the statement
+    # holds for every y
+    y = NW_CFG.x_grid[NW_IDX] / 2.0 ** (2.0 / 3.0)
+    vals = scale_center_height(_nw_heights(nw_t1, 2), 1.0, "upsilon", y).values
     samples = {float(yj): vals[:, j] + yj**2 / 2.0 ** (2.0 / 3.0)
                for j, yj in enumerate(y)}
     report = stationarity_report(samples)
@@ -238,10 +247,10 @@ def test_c11_laplace_identity(laplace_pair):
 
 def test_c12_fkg_association(nw_t1):
     """Shared-noise height events are positively associated."""
-    H = nw_t1.H
+    H1, H2 = _nw_heights(nw_t1, 0), _nw_heights(nw_t1, 2)  # t = 1, t = 2
     pairs = {
-        "equal-time": np.column_stack([H[:, 1, 0], H[:, 1, 1]]),
-        "equal-position": np.column_stack([H[:, 0, 0], H[:, 1, 0]]),
+        "equal-time": np.column_stack([H2[:, 0], H2[:, 1]]),
+        "equal-position": np.column_stack([H1[:, 0], H2[:, 0]]),
     }
     for name, cols in pairs.items():
         levels = np.quantile(cols, 0.4, axis=0)
@@ -250,12 +259,19 @@ def test_c12_fkg_association(nw_t1):
             assert report.passed, (name, side, report.joint, report.product)
 
 
-def test_c13_bound_non_violation(nw_t1, flat_t1, brownian_t1_samples):
+def test_c13_bound_non_violation(nw_t1):
     """Tail CIs never contradict the clamped envelopes; deep cells labeled."""
+    # the Brownian-data theorems average over the initial path as well as
+    # the noise, so 10 quenched paths each take 1000 replicas of their own
+    brownian = np.concatenate([
+        _composed(nw_t1, BrownianTwoSided(seed=7000 + j), "general",
+                  rows=slice(1000 * j, 1000 * (j + 1)))
+        for j in range(10)])
     datasets = {
-        ("nw_lower", "nw_upper"): _upsilon(nw_t1, 1.0, "upsilon", time_idx=1),
-        ("general_lower", "general_upper"): _upsilon(flat_t1, 1.0, "general"),
-        ("brownian_lower", "brownian_upper"): brownian_t1_samples,
+        ("nw_lower", "nw_upper"): _composed(nw_t1, NarrowWedge(), "upsilon"),
+        ("general_lower", "general_upper"): _composed(nw_t1, Flat(),
+                                                      "general"),
+        ("brownian_lower", "brownian_upper"): brownian,
     }
     s_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
     verdicts = []

@@ -98,6 +98,16 @@ class TestMain:
         # shapes the GUE edge sampler refuses, checked before any section
         ('{"airy_N": 16}', "airy_N must be at least 64, got 16"),
         ('{"airy_K": 0}', "airy_K must lie in [1, 16], got 0"),
+        # true would run as 1 and be written as True
+        ('{"T": true}', "booleans are not numbers: ['T']"),
+        ('{"moments_k": [true]}', "booleans are not numbers: ['moments_k']"),
+        ('{"airy_K": true}', "booleans are not numbers: ['airy_K']"),
+        ('{"constants": {"K1": true}}',
+         "booleans are not numbers: ['constants']"),
+        # a repeated entry repeats its rows and verdicts
+        ('{"initials": ["flat", "flat"]}',
+         "duplicate grid entries: ['initials']"),
+        ('{"s_grid": [1.0, 1.0]}', "duplicate grid entries: ['s_grid']"),
         ('{"airy_N": 64, "airy_K": 100}', "airy_K must lie in [1, 16]"),
         # a K2 this small puts nw_lower's lower envelope above its upper one
         ('{"s_grid": [3.0], "constants": {"K1": 1.0, "K2": 0.001}}',
@@ -113,6 +123,18 @@ class TestMain:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_under_a_file_exits_two(self, tmp_path, capsys, sub):
+        # exit 1 means a failed check, so a path that cannot be a
+        # directory is a usage error, found before any section runs
+        path = tmp_path / "file"
+        path.write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--out-dir", str(path / sub)])
+        assert exc.value.code == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert path.read_text() == "kept"
 
     @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
     def test_negative_seed_exits_two(self, tmp_path, capsys, command):

@@ -94,6 +94,20 @@ class TestConfig:
         dict(airy_K=0),
         dict(airy_K=17),
         dict(airy_N=64, airy_K=100),
+        # bool is an int subclass: true would run as 1
+        dict(T=True),
+        dict(airy_K=True),
+        dict(extent=True),
+        dict(moments_k=(True,)),
+        dict(s_grid=(2.0, True)),
+        dict(constants={"K": True, "K1": 1.0, "K2": 1.0, "s0": 0.0}),
+        # a repeated entry repeats its rows and verdicts
+        dict(initials=("flat", "flat")),
+        dict(s_grid=(1.0, 2.0, 1.0)),
+        dict(s_grid=(1, 1.0)),
+        dict(airy_s=(0.0, 0.0)),
+        dict(moments_k=(1, 2, 1)),
+        dict(moments_T=(4.0, 4.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -471,17 +471,21 @@ class TestBoundaryBias:
     def test_frozen_values(self):
         assert boundary_bias_bound(3.0, 2.0, delta_init=True) == pytest.approx(
             2.0 * math.exp(-9.0), rel=1e-12)
+        # both walls at distance 3/sqrt(2) standard deviations
         assert boundary_bias_bound(3.0, 2.0) == pytest.approx(
-            0.03389485352468927, rel=1e-9)
+            0.06778970704937854, rel=1e-9)
+        assert boundary_bias_bound(0.5, 8.0) == 1.0  # the cap
 
     def test_bitwise_against_norm_sf_and_image(self):
         # ndtr(-x) is what stats.norm.sf(x) computes, called directly to
         # keep scipy.stats out of the package import; the grid takes both
-        # sides of the min
+        # sides of each min
         for L, t, X in [(0.5, 8.0, 0.0), (0.5, 0.1, 0.2), (2.0, 1.0, 0.0),
                         (3.0, 2.0, -1.5), (8.0, 2.0, 0.0), (8.0, 8.0, 7.9),
                         (6.0, 1.0, 0.5), (12.0, 1.0, 0.0)]:
-            exit_bound = 2.0 * stats.norm.sf((L - abs(X)) / math.sqrt(t))
+            exit_bound = min(
+                1.0, 2.0 * stats.norm.sf((L - abs(X)) / math.sqrt(t))
+                + 2.0 * stats.norm.sf((L + abs(X)) / math.sqrt(t)))
             image = 2.0 * math.exp(-((2.0 * L - abs(X)) ** 2 - X * X)
                                    / (2.0 * t))
             assert boundary_bias_bound(L, t, X) == exit_bound, (L, t, X)
@@ -489,9 +493,46 @@ class TestBoundaryBias:
                 exit_bound, image), (L, t, X)
 
     def test_delta_bound_never_looser_than_exit_bound(self):
-        for L, t in [(2.0, 1.0), (3.0, 2.0), (4.0, 4.0)]:
-            assert boundary_bias_bound(L, t, delta_init=True) <= (
-                boundary_bias_bound(L, t) + 1e-300)
+        for L, t, X in [(2.0, 1.0, 0.0), (3.0, 2.0, 1.0), (4.0, 4.0, -2.0),
+                        (1.0, 8.0, 0.5)]:
+            general = boundary_bias_bound(L, t, X)
+            assert boundary_bias_bound(L, t, X, delta_init=True) <= general
+            assert general <= 1.0
+
+    # 1 - Z and the relative gaps below carry the float64 rounding of up
+    # to 6400 heat steps, far below this slack
+    ROUNDING = 1e-12
+
+    @pytest.mark.usefixtures("zero_noise", "float64")
+    @pytest.mark.parametrize("L", [4.0, 6.0])
+    def test_bounds_flat_lattice_loss(self, L):
+        # with unit noise the solver runs the heat flow, whose flat data
+        # stays exactly 1 on the whole line, so 1 - Z(t, X) is the
+        # truncation's loss of E Z; the endpoint chance 2 Phi_bar((L-|X|)/
+        # sqrt t) alone is below it (at L, t, X = 4, 2, 0: 0.468% < 0.837%)
+        cfg = SolverConfig(dx=0.05, dt=1.25e-3, extent=L)
+        X = np.arange(0.0, L, 0.5)
+        res = solve_she_ensemble(Flat(), 4.0, cfg, seed=0, n_replicas=1,
+                                 probe_times=[2.0, 8.0], probe_x=X)
+        for i, t in enumerate(res.probe_times):
+            for x, z in zip(res.probe_x, res.Z[0, i]):
+                assert 1.0 - z <= boundary_bias_bound(L, t, x) + self.ROUNDING, (
+                    L, t, x)
+
+    @pytest.mark.usefixtures("zero_noise", "float64")
+    @pytest.mark.parametrize("L", [2.0, 3.0, 4.0])
+    def test_bounds_delta_lattice_loss(self, L):
+        # the wedge on extent L + 8 stands in for the untruncated line
+        X = np.arange(0.0, L, 0.25)
+        Z_L, Z_far = (solve_she_ensemble(
+            NarrowWedge(), 4.0, SolverConfig(dx=0.05, dt=1.25e-3, extent=e),
+            seed=0, n_replicas=1, probe_times=[1.0, 2.0, 4.0, 8.0],
+            probe_x=X).Z[0] for e in (L, L + 8.0))
+        for i, t in enumerate((1.0, 2.0, 4.0, 8.0)):
+            for j, x in enumerate(X):
+                loss = 1.0 - Z_L[i, j] / Z_far[i, j]
+                assert loss <= boundary_bias_bound(
+                    L, t, x, delta_init=True) + self.ROUNDING, (L, t, x)
 
     def test_monotone_in_extent(self):
         vals = [boundary_bias_bound(L, 2.0, delta_init=True)
