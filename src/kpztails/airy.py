@@ -1,25 +1,20 @@
-"""Finite-GUE edge sampling and the Laplace identity cross-check.
+"""The Laplace identity for the narrow wedge, exact and by GUE sampling.
 
-The edge of an N by N GUE matrix, rescaled by a_k = N^{1/6}(lambda_k -
-2 sqrt N), approximates the determinantal point process a_1 > a_2 > ...
-that the narrow-wedge KPZ distribution is tied to through
+The narrow-wedge height is tied to the Airy point process a_1 > a_2 > ...
+through (Borodin-Gorin 2016)
 
-    E[exp(-exp(T^{1/3}(Upsilon_T(0) - s)))] = E[prod_k I_s(a_k)],
+    E[exp(-exp(T^{1/3}(Upsilon_T(0) - s)))] = E[prod_k I_s(a_k)]
+                                            = det(I - K_Ai sigma_s),
 
-with I_s(x) = 1/(1 + e^{T^{1/3}(x - s)}).  Both sides are estimated by
-Monte Carlo: the left from simulated Upsilon_T(0) readouts, the right from
-tridiagonal GUE edge samples with the product truncated at K points and
-the dropped tail controlled by an explicit bound on sum_{k>K} -log I_s
-along a k^{2/3} decay envelope.
+with I_s(x) = 1/(1 + e^{T^{1/3}(x - s)}) and sigma_s = 1 - I_s.  Runs
+judge laplace_lhs, the mean over simulated Upsilon_T(0) readouts, against
+laplace_exact, the determinant by Nystrom quadrature (Bornemann 2010).
 
-Matrix model: diagonal N(0,1), off-diagonal chi_{2(N-k)}/sqrt(2).  The
-top-K eigenvalues come from Sturm-sequence bisection (LAPACK dstebz over
-the top index range): about 53 O(N) count sweeps per eigenvalue, so
-K*53 sweeps per draw rather than an O(N^3) full solve.  dstebz is called
-through ctypes, which releases the interpreter lock, and the draws are
-split into one contiguous block per usable core (she.run_row_blocks) run
-in threads; each draw owns its own seed stream, so the output is the same
-on any number of cores.
+laplace_rhs estimates the middle term from the top K edge-scaled
+eigenvalues a_k = N^{1/6}(lambda_k - 2 sqrt N) of N by N tridiagonal GUE
+draws (diagonal N(0,1), off-diagonal chi_{2(N-k)}/sqrt(2)), with the
+dropped tail bounded along a k^{2/3} decay envelope.  No run draws them;
+the benchmark's closed_forms workload does.
 """
 
 from __future__ import annotations
@@ -30,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cython_lapack
+from scipy.special import airy, expit, roots_legendre
 
 from . import she
 
@@ -37,12 +33,16 @@ __all__ = [
     "LaplaceEstimate",
     "sample_gue_edge_many",
     "laplace_lhs",
+    "laplace_exact",
     "laplace_rhs",
 ]
 
 _THIRD = 1.0 / 3.0
 # laplace_rhs fails when its K-truncation bound exceeds this
 _TRUNCATION_TOL = 0.01
+_DET_NODES_START = 60  # laplace_exact's Nystrom nodes: 60, 120, ..., 960
+_DET_NODES_MAX = 960
+_DET_TOL = 1e-10
 
 
 def _capsule_pointer(capsule) -> int:
@@ -165,6 +165,43 @@ def laplace_lhs(upsilon: np.ndarray, s: float, T: float) -> LaplaceEstimate:
     return LaplaceEstimate(value=float(vals.mean()),
                            se=float(vals.std(ddof=1) / math.sqrt(vals.size)),
                            n=int(vals.size))
+
+
+def laplace_exact(s: float, T: float) -> tuple[float, float, int]:
+    """(det(I - K_Ai sigma_s), quad_error, nodes) at level s and time T.
+
+    Gauss-Legendre Nystrom on [s - 40/T^{1/3}, 14] (sigma_s < e^{-40}
+    below it, K_Ai(x, x) < 1e-32 above) with the symmetrized kernel
+    sqrt(w sigma) K_Ai sqrt(w sigma), sigma_s(x) = expit(T^{1/3}(x - s));
+    log det = sum log1p(-eigenvalue).  The node count doubles from
+    _DET_NODES_START until successive log dets agree to _DET_TOL;
+    quad_error, the last difference, bounds the value's error too, as
+    |e^a - e^b| <= |a - b| for a, b <= 0.  A level still unconverged at
+    _DET_NODES_MAX returns NaN, which fails any comparison, not a raise.
+    """
+    if not T > 0.0:
+        raise ValueError("T must be positive")
+    t13 = T**_THIRD
+    lo, hi = s - 40.0 / t13, 14.0
+    n, prev = _DET_NODES_START, None
+    while True:
+        u, w = roots_legendre(n)
+        x = lo + 0.5 * (hi - lo) * (u + 1.0)
+        ai, aip, _, _ = airy(x)
+        K = np.outer(ai, aip)  # built in place, to hold few n x n arrays
+        K -= K.T.copy()
+        K /= np.subtract.outer(x, x) + np.eye(n)  # no 0/0 on the diagonal
+        np.fill_diagonal(K, aip**2 - x * ai**2)  # the x = y limit
+        r = np.sqrt(0.5 * (hi - lo) * w * expit(t13 * (x - s)))
+        K *= np.outer(r, r)
+        log_det = float(np.sum(np.log1p(-np.linalg.eigvalsh(K))))
+        if prev is not None:
+            err = abs(log_det - prev)
+            if err <= _DET_TOL:
+                return math.exp(log_det), err, n
+            if n >= _DET_NODES_MAX:
+                return math.nan, err, n
+        n, prev = 2 * n, log_det
 
 
 def _tail_bound(worst_aK: float, K: int, s: float, T: float) -> float:

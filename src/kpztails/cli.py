@@ -18,14 +18,12 @@ from pathlib import Path
 
 from . import she
 from .experiment import (PRESETS, preset_config, run_airy, run_all,
-                         run_bounds, run_gibbs, run_moments, run_report,
-                         run_simulate)
+                         run_bounds, run_moments, run_report, run_simulate)
 
 _RUNNERS = {
     "simulate": run_simulate,
     "bounds": run_bounds,
     "moments": run_moments,
-    "gibbs": run_gibbs,
     "airy": run_airy,
     "report": run_report,
     "all": run_all,
@@ -36,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpz-tails",
         description="Simulate KPZ one-point tails and check them against "
-                    "closed-form envelopes, moments, and the GUE-edge "
-                    "Laplace identity.")
+                    "closed-form envelopes, moments, and the Laplace "
+                    "identity with the exact Airy Fredholm determinant.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _RUNNERS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())

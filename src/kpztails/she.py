@@ -347,10 +347,12 @@ def solve_she_ensemble(
     t_final = 2.0 * T
     times = np.array([t_final] if probe_times is None else probe_times, float)
     step_of = np.round(times / dt).astype(int)
-    if np.any(np.abs(step_of * dt - times) > 1e-9) or np.any(step_of < 1) or np.any(
-            step_of > steps):
-        raise ValueError(
-            f"probe times must be step multiples in (0, {t_final:g}], dt = {dt:g}")
+    # a step fills one readout column: a repeated time would leave one unset
+    if (np.any(np.abs(step_of * dt - times) > 1e-9) or np.any(step_of < 1)
+            or np.any(step_of > steps)
+            or np.unique(step_of).size < times.size):
+        raise ValueError(f"probe times must be distinct step multiples in "
+                         f"(0, {t_final:g}], dt = {dt:g}")
 
     x_snap = snap_to_grid(probe_x, cfg.dx)
     half = cfg.n_sites // 2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from kpztails.airy import laplace_lhs, laplace_rhs, sample_gue_edge_many
+from kpztails.airy import laplace_exact, laplace_lhs
 from kpztails.bounds import BoundQuery
 from kpztails.bridges import (BridgeSpec, GibbsSpec, bridge_min_tail,
                               bridge_min_tail_mc, dominance_test,
@@ -91,14 +91,12 @@ def nw_t1():
 
 
 @pytest.fixture(scope="module")
-def laplace_pair():
+def laplace_samples():
     t0 = time.monotonic()
     res = solve_she_ensemble(
         NarrowWedge(), 2.0, SolverConfig(dx=DX, dt=DT, extent=4.0),
         seed=404, n_replicas=10**4)
-    ups = _upsilon(res, 2.0, "upsilon")
-    edges = sample_gue_edge_many(512, 10, seed=505, n_samples=10**4)
-    return ups, edges, time.monotonic() - t0
+    return _upsilon(res, 2.0, "upsilon"), time.monotonic() - t0
 
 
 # ------------------------------------------------------------- criteria
@@ -234,14 +232,14 @@ def test_c10_stationarity(nw_t1):
     assert report.min_pvalue > 0.01, list(zip(report.pairs, report.pvalues))
 
 
-def test_c11_laplace_identity(laplace_pair):
-    """E exp(-e^{T^{1/3}(Upsilon-s)}) matches the GUE-edge Fermi product."""
-    ups, edges, elapsed = laplace_pair
+def test_c11_laplace_identity(laplace_samples):
+    """E exp(-e^{T^{1/3}(Upsilon-s)}) matches the Airy Fredholm determinant."""
+    ups, elapsed = laplace_samples
     for s in (-1.0, 0.0, 1.0):
         lhs = laplace_lhs(ups, s=s, T=2.0)
-        rhs = laplace_rhs(edges, s=s, T=2.0)
-        gap = abs(lhs.value - rhs.value)
-        assert gap <= 3.0 * (lhs.se + rhs.se) + 0.05, (s, gap)
+        det, quad_error, _ = laplace_exact(s, T=2.0)
+        gap = abs(lhs.value - det)
+        assert gap <= 3.0 * lhs.se + quad_error, (s, gap, lhs.se)
     assert elapsed < 900.0
 
 

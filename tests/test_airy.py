@@ -1,9 +1,11 @@
-"""Tests for the GUE edge sampler and the Laplace-identity estimators.
+"""Tests for the Airy Fredholm determinant, the GUE edge sampler and the
+Laplace-identity estimators.
 
 The heavy shared fixture draws 10^4 edge samples at N=512 once; the
 Tracy-Widom mean reference is -1.7711 with an explicit +-0.05 finite-N
 allowance, and the top-point tail is checked one-sided against the
-(4/3)(1-eps)s^{3/2} envelope via an exact binomial upper bound.
+(4/3)(1-eps)s^{3/2} envelope via an exact binomial upper bound.  The same
+draws judge the determinant independently of the simulated heights.
 """
 
 import math
@@ -16,12 +18,17 @@ from scipy.stats import beta
 from kpztails import airy, she
 from kpztails.airy import (
     LaplaceEstimate,
+    laplace_exact,
     laplace_lhs,
     laplace_rhs,
     sample_gue_edge_many,
 )
 
 TW_GUE_MEAN = -1.7711
+# det(I - K_Ai sigma_s) at (T, s): the presets' T = 1 and c11's T = 2
+FREDHOLM = {(1.0, -1.0): 0.598380817, (1.0, 0.0): 0.790690100,
+            (1.0, 1.0): 0.905848458, (2.0, -1.0): 0.652942974,
+            (2.0, 0.0): 0.846739155, (2.0, 1.0): 0.944444546}
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +251,51 @@ class TestLaplaceEstimateShape:
     def test_default_truncation_zero(self):
         est = LaplaceEstimate(value=0.5, se=0.01, n=100)
         assert est.truncation_bound == 0.0
+
+
+class TestLaplaceExact:
+    @pytest.mark.parametrize("T, s", sorted(FREDHOLM))
+    def test_known_values(self, T, s):
+        value, err, nodes = laplace_exact(s, T)
+        assert abs(value - FREDHOLM[T, s]) <= 1e-8
+        assert err <= airy._DET_TOL
+        assert nodes <= airy._DET_NODES_MAX
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+    def test_matches_gue_edge_product(self, edge_batch, s):
+        # independent of the solver: the Fermi product over 10^4 GUE edge
+        # draws, within 4 SE plus its K-truncation bound
+        est = laplace_rhs(edge_batch, s=s, T=2.0)
+        value, err, _ = laplace_exact(s, 2.0)
+        tol = 4.0 * est.se + est.truncation_bound + err
+        assert abs(est.value - value) <= tol
+
+    @pytest.mark.parametrize("T, s", [(1.0, -1.0), (2.0, 0.0), (8.0, -3.0)])
+    def test_one_more_doubling_agrees(self, monkeypatch, T, s):
+        value, err, nodes = laplace_exact(s, T)
+        assert err <= airy._DET_TOL
+        # restart at the returned node count: the next rule is 2 * nodes
+        monkeypatch.setattr(airy, "_DET_NODES_START", nodes)
+        monkeypatch.setattr(airy, "_DET_NODES_MAX", 2 * nodes)
+        finer, finer_err, finer_nodes = laplace_exact(s, T)
+        assert finer_nodes == 2 * nodes
+        assert finer_err <= airy._DET_TOL
+        assert abs(finer - value) <= airy._DET_TOL
+
+    def test_unconverged_level_is_nan(self, monkeypatch):
+        # 60 and 120 nodes disagree by about 2e-4 at T = 1, s = 0
+        monkeypatch.setattr(airy, "_DET_NODES_MAX", 120)
+        value, err, nodes = laplace_exact(0.0, 1.0)
+        assert math.isnan(value)
+        assert err > airy._DET_TOL and nodes == 120
+
+    def test_limits(self):
+        assert laplace_exact(30.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert laplace_exact(-6.0, 2.0)[0] < 1e-3
+        values = [laplace_exact(s, 2.0)[0] for s in (-3.0, -1.0, 0.0, 2.0)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_validation(self):
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                laplace_exact(0.0, T)

@@ -9,9 +9,8 @@ import pytest
 
 from kpztails import cli, she
 
-TINY = {"n_samples": 60, "s_grid": [1.0, 2.0], "gibbs_n": 20, "airy_n": 40,
-        "airy_N": 128, "airy_K": 6, "moments_k": [1, 2], "moments_T": [1.0],
-        "extent": 3.0}
+TINY = {"n_samples": 60, "s_grid": [1.0, 2.0], "moments_k": [1, 2],
+        "moments_T": [1.0], "extent": 3.0}
 
 
 @pytest.fixture()
@@ -61,8 +60,7 @@ class TestMain:
                        "--out-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        for section in ("simulate", "report", "bounds", "moments", "gibbs",
-                        "airy"):
+        for section in ("simulate", "report", "bounds", "moments", "airy"):
             assert re.search(rf"^all/{section}: pass \(\d+\.\d s\)$", out,
                              re.MULTILINE), section
         assert f"all/solver threads: {she.usable_cores()}\n" in out
@@ -95,20 +93,22 @@ class TestMain:
         ('{"constants": {"s0": NaN}}', "constants must be finite"),
         # would end in an OverflowError in the solver
         ('{"extent": Infinity}', "extent must be finite"),
-        # shapes the GUE edge sampler refuses, checked before any section
-        ('{"airy_N": 16}', "airy_N must be at least 64, got 16"),
-        ('{"airy_K": 0}', "airy_K must lie in [1, 16], got 0"),
+        # the fields that went with the Gibbs section and the GUE draws,
+        # and the checks kept on the fields that no section reads
+        ('{"airy_K": 10}', "unknown config fields: ['airy_K']"),
+        ('{"gibbs_wall": -0.3}', "unknown config fields: ['gibbs_wall']"),
+        ('{"airy_n": 1}', "sample counts must be at least 2"),
+        ('{"airy_N": 512.0}', "counts must be integers: ['airy_N']"),
         # true would run as 1 and be written as True
         ('{"T": true}', "booleans are not numbers: ['T']"),
         ('{"moments_k": [true]}', "booleans are not numbers: ['moments_k']"),
-        ('{"airy_K": true}', "booleans are not numbers: ['airy_K']"),
+        ('{"gibbs_n": true}', "booleans are not numbers: ['gibbs_n']"),
         ('{"constants": {"K1": true}}',
          "booleans are not numbers: ['constants']"),
         # a repeated entry repeats its rows and verdicts
         ('{"initials": ["flat", "flat"]}',
          "duplicate grid entries: ['initials']"),
         ('{"s_grid": [1.0, 1.0]}', "duplicate grid entries: ['s_grid']"),
-        ('{"airy_N": 64, "airy_K": 100}', "airy_K must lie in [1, 16]"),
         # a K2 this small puts nw_lower's lower envelope above its upper one
         ('{"s_grid": [3.0], "constants": {"K1": 1.0, "K2": 0.001}}',
          "lower envelope must lie in [0, 0.43"),
@@ -162,14 +162,19 @@ class TestMain:
         with pytest.raises(SystemExit):
             cli.main([])
 
-    def test_gibbs_and_airy_and_bounds(self, tmp_path, tiny_json):
-        for cmd in ("gibbs", "airy", "bounds"):
+    def test_gibbs_and_airy_and_bounds(self, tmp_path, tiny_json, capsys):
+        # the gibbs section is retired: its command is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gibbs", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gibbs'" in capsys.readouterr().err
+        for cmd in ("airy", "bounds"):
             rc = cli.main([cmd, "--config", str(tiny_json),
                            "--out-dir", str(tmp_path)])
             assert rc == 0
-        assert (tmp_path / "gibbs_paths.csv").exists()
         assert (tmp_path / "airy.csv").exists()
         assert (tmp_path / "bounds.csv").exists()
+        assert not (tmp_path / "gibbs_paths.csv").exists()
 
 
     def test_flat_only_simulate_matches_all(self, tmp_path, tiny_json):

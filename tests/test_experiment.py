@@ -8,17 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kpztails import experiment
-from kpztails.airy import laplace_lhs
+from kpztails import airy, bridges, experiment
+from kpztails.airy import laplace_exact, laplace_lhs
 from kpztails.bounds import BoundQuery
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
-                                 run_airy, run_all, run_gibbs, run_moments)
+                                 run_airy, run_all, run_moments, run_simulate)
 from kpztails.initial_data import NarrowWedge
 
 # small enough for the whole bundle to run in about a second
-TINY = dict(n_samples=60, s_grid=(1.0, 2.0), gibbs_n=20, airy_n=40,
-            airy_N=128, airy_K=6, moments_k=(1, 2), moments_T=(1.0,),
-            extent=3.0)
+TINY = dict(n_samples=60, s_grid=(1.0, 2.0), moments_k=(1, 2),
+            moments_T=(1.0,), extent=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +86,17 @@ class TestConfig:
         dict(gibbs_n=200.0),
         dict(airy_n=300.0),
         dict(airy_N=512.0),
-        dict(airy_K=10.0),
-        # the GUE edge shapes the airy sampler refuses
-        dict(airy_N=16),
-        dict(airy_N=63),
-        dict(airy_K=0),
-        dict(airy_K=17),
-        dict(airy_N=64, airy_K=100),
+        # the fields no section reads keep their checks, and the rules
+        # above hold for the airy levels, alpha and moments_T too
+        dict(gibbs_n=1),
+        dict(airy_n=1),
+        dict(airy_N=True),
+        dict(airy_s=(math.inf,)),
+        dict(alpha=math.nan),
+        dict(moments_T=(math.inf,)),
         # bool is an int subclass: true would run as 1
         dict(T=True),
-        dict(airy_K=True),
+        dict(airy_n=True),
         dict(extent=True),
         dict(moments_k=(True,)),
         dict(s_grid=(2.0, True)),
@@ -172,8 +172,8 @@ class TestBundle:
     def test_all_sections_pass(self, bundle):
         _, summary = bundle
         assert summary["status"] == "pass"
-        assert set(summary["sections"]) == {"simulate", "report", "bounds",
-                                            "moments", "gibbs", "airy"}
+        assert list(summary["sections"]) == ["simulate", "report", "bounds",
+                                             "moments", "airy"]
 
     def test_sample_artifacts(self, bundle, tiny_cfg):
         out, _ = bundle
@@ -219,29 +219,23 @@ class TestBundle:
             assert r[5] == "True"
             assert c * lo <= val * (1.0 + 1e-9) and val <= hi * (1.0 + 1e-9)
 
-    def test_gibbs_artifact(self, bundle, tiny_cfg):
-        out, _ = bundle
-        header, rows = _read_csv(out / "gibbs_paths.csv")
-        summary = json.loads((out / "gibbs_summary.json").read_text())
-        assert len(rows) == tiny_cfg.gibbs_n
-        # the sampler consumes whole proposal chunks, so it may accept more
-        assert summary["n_accepted"] >= tiny_cfg.gibbs_n
-        assert len(header) == 1 + len(summary["grid"])
-        assert 0.0 < summary["acceptance_rate"] <= 1.0
-        assert summary["checks"] == {"acceptance_matches_weight": True}
-        # bridge pinned at both ends
-        assert all(float(r[1]) == 0.0 and float(r[-1]) == 0.0 for r in rows)
-
     def test_airy_artifact(self, bundle, tiny_cfg):
         out, _ = bundle
         header, rows = _read_csv(out / "airy.csv")
+        assert header == ["s", "T", "lhs", "rhs", "se_lhs", "quad_error",
+                          "nodes", "within_tolerance"]
         assert len(rows) == len(tiny_cfg.airy_s)
         for r in rows:
             lhs, rhs = float(r[2]), float(r[3])
-            se_l, se_r = float(r[4]), float(r[5])
+            se_l, quad_error = float(r[4]), float(r[5])
             assert r[7] == "True"
-            assert abs(lhs - rhs) <= 3.0 * (se_l + se_r) + 0.05
-            assert 0.0 <= lhs <= 1.0 and 0.0 <= rhs <= 1.0
+            assert (rhs, quad_error, int(r[6])) == laplace_exact(
+                float(r[0]), float(r[1]))
+            assert abs(lhs - rhs) <= 3.0 * se_l + quad_error
+            assert 0.0 <= lhs <= 1.0 and 0.0 < rhs < 1.0
+        summary = json.loads((out / "airy_summary.json").read_text())
+        assert set(summary) == {"artifacts", "checks", "command", "preset",
+                                "seed", "status"}
 
     def test_airy_judges_the_narrow_wedge_samples(self, bundle, tiny_cfg):
         out, _ = bundle
@@ -275,36 +269,37 @@ class TestBundle:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_seed_changes_samples(self, tiny_cfg, tmp_path):
-        from kpztails.experiment import run_simulate
         a = run_simulate(tiny_cfg, 0, tmp_path / "a")
         b = run_simulate(tiny_cfg, 1, tmp_path / "b")
         assert (a["stats"]["narrow_wedge"]["mean"]
                 != b["stats"]["narrow_wedge"]["mean"])
 
 
-class TestGibbsCheck:
-    def test_rate_inconsistent_with_weight_fails(self, tiny_cfg, tmp_path,
-                                                 monkeypatch):
-        real = experiment.gibbs_resample
-
-        def accept_all(*args, **kwargs):
-            res = real(*args, **kwargs)
-            return replace(res, n_accepted=res.n_proposals)
-
-        monkeypatch.setattr(experiment, "gibbs_resample", accept_all)
-        summary = run_gibbs(tiny_cfg, 0, tmp_path)
-        assert summary["checks"] == {"acceptance_matches_weight": False}
-        assert summary["status"] == "fail"
-
-
 class TestAiryCheck:
     def test_shifted_samples_fail(self, bundle, tiny_cfg, tmp_path):
+        # seed 0's tiny bundle first fails at shifts of +0.35 and -0.42 (on
+        # a 0.01 grid); a slack on the check, such as the 0.05 it once
+        # had, lets both of these pass
         out, _ = bundle
         ups = _read_samples(out / "samples_narrow_wedge.csv")
+        for delta in (0.36, -0.43):
+            summary = run_airy(tiny_cfg, 0, tmp_path,
+                               samples={"narrow_wedge": ups + delta})
+            assert summary["checks"] == {"laplace_identity": False}, delta
+            assert summary["status"] == "fail"
+
+    def test_unconverged_determinant_fails(self, bundle, tiny_cfg, tmp_path,
+                                           monkeypatch):
+        # 60 and 120 nodes disagree by 2e-5 to 3e-4 at the tiny levels,
+        # so the determinant stops unconverged and the check must fail
+        out, _ = bundle
+        ups = _read_samples(out / "samples_narrow_wedge.csv")
+        monkeypatch.setattr(airy, "_DET_NODES_MAX", 120)
         summary = run_airy(tiny_cfg, 0, tmp_path,
-                           samples={"narrow_wedge": ups + 5.0})
+                           samples={"narrow_wedge": ups})
         assert summary["checks"] == {"laplace_identity": False}
-        assert summary["status"] == "fail"
+        _, rows = _read_csv(tmp_path / "airy.csv")
+        assert all(r[3] == "nan" and r[7] == "False" for r in rows)
 
     @pytest.mark.parametrize("initials", [("narrow_wedge", "flat", "brownian"),
                                           ("flat",)])
@@ -316,6 +311,35 @@ class TestAiryCheck:
         run_airy(replace(tiny_cfg, initials=initials), 0, tmp_path)
         assert ((tmp_path / "airy.csv").read_bytes()
                 == (out / "airy.csv").read_bytes())
+
+
+class TestRunScope:
+    def test_run_all_draws_no_gue_matrices_and_no_gibbs_paths(
+            self, tiny_cfg, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run called a Monte Carlo route it dropped")
+
+        for module, name in ((airy, "sample_gue_edge_many"),
+                             (airy, "laplace_rhs"),
+                             (bridges, "gibbs_resample")):
+            monkeypatch.setattr(module, name, refuse)
+        summary = run_all(tiny_cfg, 0, tmp_path)
+        assert summary["status"] == "pass"
+        assert not any(p.name.startswith("gibbs") for p in tmp_path.iterdir())
+
+    def test_flat_only_simulate_judges_the_wedge(self, bundle, tiny_cfg,
+                                                 tmp_path):
+        # the first-moment oracle reads the narrow-wedge readout that every
+        # run makes, whatever initials lists
+        out, _ = bundle
+        summary = run_simulate(replace(tiny_cfg, initials=("flat",)), 0,
+                               tmp_path)
+        assert summary["checks"] == {"first_moment_z": True}
+        full = json.loads((out / "simulate_summary.json").read_text())
+        wedge = full["stats"]["narrow_wedge"]
+        assert summary["stats"]["narrow_wedge"] == {
+            k: wedge[k] for k in ("z_mean", "z_se", "z_exact")}
+        assert set(summary["stats"]) == {"narrow_wedge", "flat"}
 
 
 class TestStreams:

@@ -386,6 +386,14 @@ class TestEnsemble:
             solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
                                n_replicas=2, probe_times=(0.0013,))
 
+    @pytest.mark.parametrize("times", [(1.0, 1.0, 0.5), (0.5, 0.5)])
+    def test_duplicate_probe_times_rejected(self, times):
+        # each step fills one readout column, so the first of two equal
+        # times would be left as uninitialized memory
+        with pytest.raises(ValueError, match="distinct"):
+            solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
+                               n_replicas=3, probe_times=times)
+
     @pytest.mark.parametrize("bad", [(-0.5,), (0.0,), (1.5,)])
     def test_out_of_range_probe_time_rejected(self, bad):
         with pytest.raises(ValueError, match="step multiples"):
