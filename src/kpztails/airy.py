@@ -20,12 +20,11 @@ the benchmark's closed_forms workload does.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
-from scipy.special import airy, expit, roots_legendre
 
 from . import she
 
@@ -55,11 +54,19 @@ def _capsule_pointer(capsule) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-# LAPACK dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit,
-# w, iblock, isplit, work, iwork, info), every argument by pointer.  A
-# CFUNCTYPE call releases the interpreter lock for the bisection.
-_DSTEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(
-    _capsule_pointer(cython_lapack.__pyx_capi__["dstebz"]))
+@functools.cache
+def _dstebz():
+    """LAPACK dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m,
+    nsplit, w, iblock, isplit, work, iwork, info), every argument by pointer.
+
+    Resolved on first call, so that importing kpztails does not load
+    scipy.linalg.  A CFUNCTYPE call releases the interpreter lock for the
+    bisection.
+    """
+    from scipy.linalg import cython_lapack
+
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(
+        _capsule_pointer(cython_lapack.__pyx_capi__["dstebz"]))
 
 
 def _top_eigvals(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
@@ -85,10 +92,10 @@ def _top_eigvals(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
     iwork = np.empty(3 * N, dtype=np.intc)
     i, r = ints.ctypes.data, reals.ctypes.data
     si, sr = ints.itemsize, reals.itemsize
-    _DSTEBZ(b"I", b"E", i, r, r + sr, i + si, i + 2 * si, r + 2 * sr,
-            d.ctypes.data, e.ctypes.data, i + 3 * si, i + 4 * si,
-            w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
-            work.ctypes.data, iwork.ctypes.data, i + 5 * si)
+    _dstebz()(b"I", b"E", i, r, r + sr, i + si, i + 2 * si, r + 2 * sr,
+              d.ctypes.data, e.ctypes.data, i + 3 * si, i + 4 * si,
+              w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+              work.ctypes.data, iwork.ctypes.data, i + 5 * si)
     m, info = int(ints[3]), int(ints[5])
     if info != 0 or m != K:
         raise np.linalg.LinAlgError(
@@ -107,10 +114,9 @@ def _edge_points_one(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
 def check_edge_shape(N: int, K: int) -> None:
     """Reject a matrix size N or retained point count K the sampler refuses."""
     if N < 64:
-        raise ValueError(f"matrix size airy_N must be at least 64, got {N}")
+        raise ValueError(f"matrix size N must be at least 64, got {N}")
     if not 1 <= K <= 16:
-        raise ValueError(f"retained point count airy_K must lie in [1, 16], "
-                         f"got {K}")
+        raise ValueError(f"retained point count K must lie in [1, 16], got {K}")
 
 
 def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarray:
@@ -127,6 +133,7 @@ def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarra
     if n_samples < 1:
         raise ValueError("need at least one sample")
     out = np.empty((n_samples, K))
+    _dstebz()  # resolve the pointer here, not in a worker thread
 
     def run_block(lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -179,6 +186,9 @@ def laplace_exact(s: float, T: float) -> tuple[float, float, int]:
     |e^a - e^b| <= |a - b| for a, b <= 0.  A level still unconverged at
     _DET_NODES_MAX returns NaN, which fails any comparison, not a raise.
     """
+    # imported here so that importing kpztails does not load scipy
+    from scipy.special import airy, expit, roots_legendre
+
     if not T > 0.0:
         raise ValueError("T must be positive")
     t13 = T**_THIRD

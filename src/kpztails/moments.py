@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_hermite
 
 __all__ = [
     "Partition",
@@ -242,6 +241,9 @@ def _partition_integral(parts: tuple[int, ...], T: float) -> tuple[float, float]
     first axis is summed in a loop, so only an n^{ell-1} slab of the tensor
     is live at a time.
     """
+    # imported here so that importing kpztails does not load scipy
+    from scipy.special import roots_hermite
+
     ell = len(parts)
     t23 = T ** (2.0 / 3.0)
     scale = [1.0 / math.sqrt(T**_THIRD * p) for p in parts]

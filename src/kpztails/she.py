@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .initial_data import InitialData, NarrowWedge, make_unscaled_initial
 
@@ -387,6 +386,9 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
     Delta data at the origin: the smaller of that and the reflection-image
     correction of the killed heat kernel, 2 exp(-((2L-|X|)^2 - X^2)/(2t)).
     """
+    # imported here so that importing kpztails does not load scipy
+    from scipy.special import ndtr
+
     if not (extent > 0.0 and t > 0.0):
         raise ValueError("extent and t must be positive")
     if abs(X) >= extent:

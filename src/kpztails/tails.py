@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import BoundQuery, evaluate_query
 
@@ -52,10 +51,12 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01):
     "Exact" names the Clopper-Pearson method (beta quantiles, coverage at
     least 1 - alpha).  The quantiles come from ``scipy.special.betaincinv``,
     the routine behind ``scipy.stats.beta.ppf``, called directly so that
-    importing this module does not load ``scipy.stats``; the endpoints are
-    as accurate as that routine (a few ULP), not bit-reproducible across
-    scipy versions.
+    a call does not load ``scipy.stats``; the endpoints are as accurate as
+    that routine (a few ULP), not bit-reproducible across scipy versions.
     """
+    # imported here so that importing kpztails does not load scipy
+    from scipy.special import betaincinv
+
     if not 0 <= hits <= n:
         raise ValueError("hits must lie in [0, n]")
     if not 0.0 < alpha < 1.0:

@@ -101,14 +101,17 @@ class TestSampleGueEdge:
             sample_gue_edge_many(64, 2, seed=0, n_samples=4)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="64"):
+        with pytest.raises(ValueError, match="64") as small_N:
             sample_gue_edge_many(32, 4, seed=0, n_samples=1)
-        with pytest.raises(ValueError, match="1, 16"):
+        with pytest.raises(ValueError, match="1, 16") as zero_K:
             sample_gue_edge_many(128, 0, seed=0, n_samples=1)
-        with pytest.raises(ValueError, match="1, 16"):
+        with pytest.raises(ValueError, match="1, 16") as large_K:
             sample_gue_edge_many(128, 17, seed=0, n_samples=1)
         with pytest.raises(ValueError, match="at least one"):
             sample_gue_edge_many(128, 4, seed=0, n_samples=0)
+        # the messages name the sampler's N and K, not a config field
+        for err in (small_N, zero_K, large_K):
+            assert "airy_" not in str(err.value)
 
     def test_mean_top_point_near_tracy_widom(self, edge_batch):
         m = edge_batch[:, 0].mean()
