@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -178,26 +177,21 @@ class GibbsSpec:
     """Single-curve soft-wall specification: free bridge reweighted by the
     lower curve g through W = exp(-int H_T(g - L)).
 
-    lower_curve is a constant wall level g, finite or -inf, or None (no
-    wall, g = -inf).  The upper neighbor is +inf (its interaction term
-    vanishes identically).
+    lower_curve is a constant wall level g, finite or -inf (no wall, the
+    default).  The upper neighbor is +inf (its interaction term vanishes
+    identically).
     """
 
     bridge: BridgeSpec
     T: float
-    lower_curve: Optional[float] = None
+    lower_curve: float = -math.inf
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
             raise ValueError("T must be positive")
         g = self.lower_curve
-        if g is not None and (math.isnan(g) or g == math.inf):
+        if g is None or math.isnan(g) or g == math.inf:
             raise ValueError("lower_curve must be finite or -inf")
-
-
-def _wall(spec: GibbsSpec) -> float:
-    """The wall level g of spec, -inf without a wall."""
-    return -math.inf if spec.lower_curve is None else spec.lower_curve
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ def _gibbs_weights(spec: GibbsSpec, paths: np.ndarray) -> np.ndarray:
     """W = exp(-trapezoid of H_T(g - L)) per path; W in (0, 1]."""
     grid = spec.bridge.grid
     with np.errstate(over="ignore"):
-        h = np.exp(spec.T**_THIRD * (_wall(spec) - paths))
+        h = np.exp(spec.T**_THIRD * (spec.lower_curve - paths))
         integral = np.trapezoid(h, grid, axis=1)
         w = np.exp(-integral)
     return w
@@ -291,7 +285,7 @@ class DominanceReport:
 def _boundary_leq(spec_b: GibbsSpec, spec_a: GibbsSpec) -> bool:
     return (spec_b.bridge.x <= spec_a.bridge.x
             and spec_b.bridge.y <= spec_a.bridge.y
-            and _wall(spec_b) <= _wall(spec_a))
+            and spec_b.lower_curve <= spec_a.lower_curve)
 
 
 def dominance_test(

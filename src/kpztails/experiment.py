@@ -57,21 +57,19 @@ def _stream_seed(seed: int, name: str) -> int:
 
 @dataclass(frozen=True)
 class _Initial:
-    """One initial condition: its data, height scaling and judging theorems."""
+    """One initial condition: its data and judging theorems."""
 
     data: Callable[[int], InitialData]  # built from the run seed
-    kind: str  # scale_center_height kind
     theorems: tuple  # (lower-tail, upper-tail) theorem families
 
 
 _INITIAL = {
-    "narrow_wedge": _Initial(lambda seed: NarrowWedge(), "upsilon",
+    "narrow_wedge": _Initial(lambda seed: NarrowWedge(),
                              ("nw_lower", "nw_upper")),
-    "flat": _Initial(lambda seed: Flat(), "general",
-                     ("general_lower", "general_upper")),
+    "flat": _Initial(lambda seed: Flat(), ("general_lower", "general_upper")),
     "brownian": _Initial(
         lambda seed: BrownianTwoSided(seed=_stream_seed(seed, "brownian_path")),
-        "general", ("brownian_lower", "brownian_upper")),
+        ("brownian_lower", "brownian_upper")),
 }
 
 
@@ -259,11 +257,9 @@ def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
         probe_times=wedge_readout_times(config.T, cfg), probe_x=cfg.x_grid)
     samples = {}
     for name in dict.fromkeys(("narrow_wedge", *config.initials)):
-        init = _INITIAL[name]
-        res = convolve_upsilon_with_f(wedge, init.data(seed), config.T, cfg)
-        H = res.H[:, -1, :]  # final probe time, X = 0 column
-        samples[name] = scale_center_height(H, config.T, init.kind,
-                                            y_grid=[0.0]).values[:, 0]
+        data = _INITIAL[name].data(seed)
+        Z = convolve_upsilon_with_f(wedge, data, config.T, cfg)
+        samples[name] = scale_center_height(Z, config.T, data)
     return samples
 
 

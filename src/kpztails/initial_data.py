@@ -12,7 +12,8 @@ Height observables at time 2T are centered and scaled by
     upsilon(y)  = (H(2T, (2T)^(2/3) y) + T/12) / T^(1/3)          narrow wedge
     h(y)        = (H(2T, (2T)^(2/3) y) + T/12 - (2/3) log(2T)) / T^(1/3)
 
-the second form applying to general and Brownian initial data.
+the second form applying to every initial data but the narrow wedge;
+scale_center_height chooses the form by the type of the initial data.
 """
 
 from __future__ import annotations
@@ -271,45 +272,20 @@ def _two_sided_brownian(x: np.ndarray, seed) -> np.ndarray:
     return H0
 
 
-@dataclass(frozen=True)
-class ScaledHeightSample:
-    """Centered/scaled height values on a y grid."""
+def scale_center_height(Z, T: float, initial: InitialData) -> np.ndarray:
+    """Centered/scaled heights at time 2T from field readouts Z(2T, X).
 
-    T: float
-    y_grid: np.ndarray
-    values: np.ndarray
-    kind: str  # "upsilon" or "general"
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "y_grid", y)
-        object.__setattr__(self, "values", v)
-        if self.kind not in ("upsilon", "general"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if y.size > 1 and not np.all(np.diff(y) > 0):
-            raise ValueError("y_grid must be strictly increasing")
-        if v.shape[-1] != y.size:
-            raise ValueError("values and y_grid length mismatch")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scaled height values must be finite")
-
-
-def scale_center_height(H, T: float, kind: str, y_grid) -> ScaledHeightSample:
-    """Center and scale a height-at-time-2T array sampled at X=(2T)^(2/3) y.
-
-    kind "upsilon" (narrow wedge) applies (H + T/12)/T^(1/3); "general"
-    (every other initial data, Brownian included) subtracts the extra
-    (2/3) log(2T).
+    The height is the Cole-Hopf H = log Z.  For the narrow wedge the result
+    is upsilon = (H + T/12)/T^(1/3); every other initial data, Brownian
+    included, also subtracts (2/3) log(2T) from H + T/12.  A nonpositive
+    readout raises FloatingPointError, a non-finite result ValueError.
     """
-    H = np.asarray(H, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
-    if H.shape[-1] != y_grid.size:
-        raise ValueError(
-            f"height array has {H.shape[-1]} columns but y_grid has {y_grid.size}"
-        )
+    with np.errstate(divide="raise", invalid="raise"):
+        H = np.log(np.asarray(Z, dtype=float))
     center = T / 12.0
-    if kind == "general":
+    if not isinstance(initial, NarrowWedge):
         center -= (2.0 / 3.0) * math.log(2.0 * T)
     vals = (H + center) / T ** (1.0 / 3.0)
-    return ScaledHeightSample(T=T, y_grid=y_grid, values=vals, kind=kind)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("scaled height values must be finite")
+    return vals

@@ -10,13 +10,14 @@ expectation of Z solves the discrete heat equation exactly: first-moment
 readouts are unbiased up to spatial discretization and the Dirichlet
 truncation of the line.
 
-Observables: H = log Z; for delta initial data (total mass 1/dx at the
-origin site) the centered/scaled height (H(2T,0) + T/12)/T^{1/3} is the
-quantity whose moments and tails the rest of the package bounds.
-
-One narrow-wedge ensemble serves every initial condition: the steps are
-linear, the heat step symmetric and the noise diagonal, so Z(2T, 0) of any
-initial data is an exact sum over the wedge field (convolve_upsilon_with_f).
+Observables: the solver reads out Z.  One narrow-wedge ensemble (delta
+initial data, total mass 1/dx at the origin site) serves every initial
+condition: the steps are linear, the heat step symmetric and the noise
+diagonal, so Z(2T, 0) of any initial data is an exact sum over the wedge
+field, and convolve_upsilon_with_f returns it, one value per replica.  The
+Cole-Hopf map H = log Z and the centering and T^{1/3} scaling that give the
+heights whose moments and tails the rest of the package bounds live in
+initial_data.scale_center_height.
 
 Boundary truncation is Dirichlet zero.  It is certified post hoc: for a
 readout at X the relative effect on E Z is at most the chance a Brownian
@@ -235,13 +236,6 @@ class EnsembleResult:
     probe_x: np.ndarray
     Z: np.ndarray
 
-    @property
-    def H(self) -> np.ndarray:
-        if np.any(self.Z <= 0.0):
-            raise FloatingPointError(
-                "numerical fault: nonpositive field value in readout")
-        return np.log(self.Z)
-
 
 def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
     """Nearest lattice positions for the requested readout coordinates."""
@@ -411,9 +405,9 @@ def wedge_readout_times(T: float, cfg: SolverConfig) -> tuple:
 
 
 def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
-                            T: float, cfg: SolverConfig) -> EnsembleResult:
-    """Readout at (2T, 0) for initial data Z_0, composed from the wedge
-    field W read on every site at wedge_readout_times(T, cfg):
+                            T: float, cfg: SolverConfig) -> np.ndarray:
+    """Z(2T, 0) for initial data Z_0, one float64 value per replica, composed
+    from the wedge field W read on every site at wedge_readout_times(T, cfg):
 
         Z(2T, 0) = dx d sum_x Z_0(x) (H W_{n-1})(x),  d = W_n(0) / (H W_{n-1})(0),
 
@@ -422,7 +416,8 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
     diagonal, so this is exactly the direct run under the wedge's noise
     E_{n-1}, ..., E_1, E_n; d is E_n at the origin, independent of W_{n-1},
     so each replica has a direct readout's law.  The narrow wedge returns
-    W_n(0) as read.
+    W_n(0) as read.  initial_data.scale_center_height maps the values to
+    heights.
     """
     times = wedge_readout_times(T, cfg)
     if wedge.Z.shape[1:] != (2, cfg.n_sites) or not np.allclose(
@@ -430,14 +425,13 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
         raise ValueError("need the wedge field on every site at (2T - dt, 2T)")
     origin = cfg.n_sites // 2
     Z = wedge.Z[:, 1, origin]
-    if not isinstance(initial, NarrowWedge):
-        _, dt = _time_steps(T, cfg)
-        HW = np.empty_like(wedge.Z[:, 0])
-        _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW,
-                   dt / (2.0 * cfg.dx**2))
-        Z = cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, T, cfg))
-    return EnsembleResult(probe_times=np.array(times[1:]),
-                          probe_x=np.zeros(1), Z=Z.reshape(-1, 1, 1))
+    if isinstance(initial, NarrowWedge):
+        return Z
+    _, dt = _time_steps(T, cfg)
+    HW = np.empty_like(wedge.Z[:, 0])
+    _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW,
+               dt / (2.0 * cfg.dx**2))
+    return cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, T, cfg))
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,6 @@ NW_CFG = SolverConfig(dx=DX, dt=DT, extent=6.0)  # nw_t1's lattice
 NW_IDX = [NW_CFG.n_sites // 2 + round(x / DX) for x in (0.0, 0.8, 1.6)]
 
 
-def _upsilon(res, T, kind):
-    """Centered/scaled height at the last probe time and the first position."""
-    H = res.H[:, -1, :1]
-    return scale_center_height(H, T, kind, y_grid=[0.0]).values[:, 0]
-
-
 def _nw_heights(nw, time_idx):
     """log Z of nw_t1 at one probe time and the sites NW_IDX.
 
@@ -57,13 +51,13 @@ def _nw_heights(nw, time_idx):
     return np.log(nw.Z[:, time_idx, NW_IDX])
 
 
-def _composed(nw, initial, kind, rows=slice(None)):
+def _composed(nw, initial, rows=slice(None)):
     """Scaled heights of `initial` at T = 1 on the replicas `rows`, composed
     from nw_t1's field at (2 - dt, 2) as every run composes its samples."""
     wedge = EnsembleResult(probe_times=nw.probe_times[1:], probe_x=nw.probe_x,
                            Z=nw.Z[rows, 1:])
-    return _upsilon(convolve_upsilon_with_f(wedge, initial, 1.0, NW_CFG),
-                    1.0, kind)
+    return scale_center_height(
+        convolve_upsilon_with_f(wedge, initial, 1.0, NW_CFG), 1.0, initial)
 
 
 # ----------------------------------------------------------- shared runs
@@ -96,7 +90,8 @@ def laplace_samples():
     res = solve_she_ensemble(
         NarrowWedge(), 2.0, SolverConfig(dx=DX, dt=DT, extent=4.0),
         seed=404, n_replicas=10**4)
-    return _upsilon(res, 2.0, "upsilon"), time.monotonic() - t0
+    return (scale_center_height(res.Z[:, -1, 0], 2.0, NarrowWedge()),
+            time.monotonic() - t0)
 
 
 # ------------------------------------------------------------- criteria
@@ -197,7 +192,7 @@ def test_c07_bridge_min_tail():
 def test_c08_gibbs_degenerate_case():
     """With no wall the resampler reproduces the free bridge midpoint law."""
     bridge = BridgeSpec(a=0.0, b=1.0, x=0.3, y=-0.2, step=1.0 / 64.0)
-    spec = GibbsSpec(bridge=bridge, T=1.0, lower_curve=None)
+    spec = GibbsSpec(bridge=bridge, T=1.0, lower_curve=-math.inf)
     mid = bridge.n_steps // 2
     resampled = gibbs_resample(spec, seed=21, n=10**4).paths[:, mid]
     free = sample_bridge(bridge, seed=22, n=10**4)[:, mid]
@@ -213,7 +208,7 @@ def test_c09_monotone_dominance():
         (GibbsSpec(BridgeSpec(0.0, 1.0, 0.0, 0.0, step), 1.0, -0.2),
          GibbsSpec(BridgeSpec(0.0, 1.0, 0.0, 0.0, step), 1.0, -0.8)),
         (GibbsSpec(BridgeSpec(0.0, 1.0, 0.3, 0.5, step), 1.0, -0.4),
-         GibbsSpec(BridgeSpec(0.0, 1.0, 0.0, 0.2, step), 1.0, None)),
+         GibbsSpec(BridgeSpec(0.0, 1.0, 0.0, 0.2, step), 1.0, -math.inf)),
     ]
     for i, (spec_a, spec_b) in enumerate(pairs):
         report = dominance_test(spec_a, spec_b, n=10**5, seed=31 + i)
@@ -225,7 +220,7 @@ def test_c10_stationarity(nw_t1):
     # y sits at X/2^{2/3} for the lattice sites X of NW_IDX; the statement
     # holds for every y
     y = NW_CFG.x_grid[NW_IDX] / 2.0 ** (2.0 / 3.0)
-    vals = scale_center_height(_nw_heights(nw_t1, 2), 1.0, "upsilon", y).values
+    vals = scale_center_height(nw_t1.Z[:, 2, NW_IDX], 1.0, NarrowWedge())
     samples = {float(yj): vals[:, j] + yj**2 / 2.0 ** (2.0 / 3.0)
                for j, yj in enumerate(y)}
     report = stationarity_report(samples)
@@ -262,13 +257,12 @@ def test_c13_bound_non_violation(nw_t1):
     # the Brownian-data theorems average over the initial path as well as
     # the noise, so 10 quenched paths each take 1000 replicas of their own
     brownian = np.concatenate([
-        _composed(nw_t1, BrownianTwoSided(seed=7000 + j), "general",
+        _composed(nw_t1, BrownianTwoSided(seed=7000 + j),
                   rows=slice(1000 * j, 1000 * (j + 1)))
         for j in range(10)])
     datasets = {
-        ("nw_lower", "nw_upper"): _composed(nw_t1, NarrowWedge(), "upsilon"),
-        ("general_lower", "general_upper"): _composed(nw_t1, Flat(),
-                                                      "general"),
+        ("nw_lower", "nw_upper"): _composed(nw_t1, NarrowWedge()),
+        ("general_lower", "general_upper"): _composed(nw_t1, Flat()),
         ("brownian_lower", "brownian_upper"): brownian,
     }
     s_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)

@@ -43,7 +43,6 @@ class TestHamiltonian:
             math.exp(2.0), rel=1e-14)
 
     def test_absent_neighbor_sentinel(self):
-        assert self._weights(0.0, 2.0, lower_curve=None)[0] == 1.0
         assert self._weights(0.0, 2.0, lower_curve=-math.inf)[0] == 1.0
 
     def test_vectorized(self):
@@ -215,6 +214,8 @@ class TestGibbsSpec:
             GibbsSpec(bridge=self._bridge(), T=0.0)
         with pytest.raises(ValueError):
             GibbsSpec(bridge=self._bridge(), T=1.0, lower_curve=math.inf)
+        with pytest.raises(ValueError):
+            GibbsSpec(bridge=self._bridge(), T=1.0, lower_curve=None)
 
 
 class TestGibbsResample:
@@ -292,7 +293,7 @@ class TestGibbsResample:
 
 
 class TestDominance:
-    def _spec(self, x=0.0, y=0.5, T=1.0, g=None):
+    def _spec(self, x=0.0, y=0.5, T=1.0, g=-math.inf):
         return GibbsSpec(bridge=BridgeSpec(a=0.0, b=1.0, x=x, y=y, step=1 / 64),
                          T=T, lower_curve=g)
 

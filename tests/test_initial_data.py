@@ -11,7 +11,6 @@ from kpztails.initial_data import (
     HypParams,
     NarrowWedge,
     Profile,
-    ScaledHeightSample,
     load_profile_csv,
     make_unscaled_initial,
     scale_center_height,
@@ -205,44 +204,52 @@ class TestMakeUnscaledInitial:
 
 
 class TestScaleCenterHeight:
+    @pytest.mark.parametrize("initial, general", [
+        (NarrowWedge(), False),
+        (Flat(), True),
+        (BrownianTwoSided(seed=3), True),
+        (GeneralScaled(flat_profile(), HypParams(C=1.0, nu=0.5, theta=1.0,
+                                                 kappa=1.0, M=1.0)), True),
+    ], ids=["NarrowWedge", "Flat", "BrownianTwoSided", "GeneralScaled"])
+    def test_centering_follows_initial_type(self, initial, general):
+        # Z = 1 reads H = 0 exactly, so the result is the centering alone
+        T = 0.8
+        center = T / 12 - (2 / 3) * math.log(2 * T) * general
+        got = scale_center_height(np.ones(2), T, initial)
+        assert got == pytest.approx(center / T ** (1 / 3), rel=1e-15)
+
     def test_exact_cancellation_general(self):
         T = 0.8
-        H = np.array([-T / 12 + (2 / 3) * math.log(2 * T)])
-        s = scale_center_height(H, T, "general", np.array([0.0]))
-        assert s.values[0] == pytest.approx(0.0, abs=1e-14)
+        Z = np.exp([-T / 12 + (2 / 3) * math.log(2 * T)])
+        assert scale_center_height(Z, T, Flat())[0] == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_exact_cancellation_upsilon(self):
         T = 1.3
-        s = scale_center_height(np.array([-T / 12]), T, "upsilon", np.array([0.0]))
-        assert s.values[0] == pytest.approx(0.0, abs=1e-14)
+        Z = np.exp([-T / 12])
+        assert scale_center_height(Z, T, NarrowWedge())[0] == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_reference_value_at_T_one(self):
-        s = scale_center_height(np.array([0.0]), 1.0, "general", np.array([0.0]))
-        assert s.values[0] == pytest.approx(-0.37876, abs=1e-5)
+        got = scale_center_height(np.array([1.0]), 1.0, Flat())
+        assert got[0] == pytest.approx(-0.37876, abs=1e-5)
 
-    def test_mismatched_grid_is_error(self):
-        with pytest.raises(ValueError):
-            scale_center_height(np.zeros(3), 1.0, "upsilon", np.zeros(2))
+    def test_nonpositive_readout_raises(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(FloatingPointError):
+                scale_center_height(np.array([1.0, bad]), 1.0, NarrowWedge())
+
+    def test_rejects_nonfinite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            scale_center_height(np.array([1.0, np.inf]), 1.0, NarrowWedge())
 
     @given(
         c=st.floats(-5, 5),
         T=st.floats(0.1, 8.0),
-        kind=st.sampled_from(["upsilon", "general"]),
+        initial=st.sampled_from([NarrowWedge(), Flat()]),
     )
-    def test_affine_in_height(self, c, T, kind):
-        y = np.array([-1.0, 0.0, 1.0])
+    def test_affine_in_height(self, c, T, initial):
         H = np.array([0.3, -0.2, 0.9])
-        base = scale_center_height(H, T, kind, y).values
-        shifted = scale_center_height(H + c, T, kind, y).values
+        base = scale_center_height(np.exp(H), T, initial)
+        shifted = scale_center_height(np.exp(H + c), T, initial)
         assert shifted == pytest.approx(base + c / T ** (1 / 3), rel=1e-12, abs=1e-12)
-
-
-class TestScaledHeightSample:
-    def test_rejects_nonincreasing_grid(self):
-        with pytest.raises(ValueError):
-            ScaledHeightSample(1.0, np.array([0.0, 0.0]), np.zeros(2), "upsilon")
-
-    def test_rejects_nonfinite_values(self):
-        with pytest.raises(ValueError):
-            ScaledHeightSample(1.0, np.array([0.0, 1.0]),
-                               np.array([0.0, np.inf]), "upsilon")

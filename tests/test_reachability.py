@@ -14,12 +14,14 @@ into a check that can fail, or it is deleted together with its tests.  A
 definition that only PENDING items reach is pending with them.
 
 A method or property (any function in a class body other than a dunder)
-of a reached class is reached when its own name is referenced by a root or
-by a reached definition or member; the rest of a class body counts with
-the class, and a class that is not reached takes its members with it.
+of a reached class is reached when its own name is referenced as an
+attribute or a string constant by a root or by a reached definition or
+member; a bare name, such as a local variable, does not reach a member.
+The rest of a class body counts with the class, and a class that is not
+reached takes its members with it.
 
-Blind spot: names are matched whatever object they are read from, so a
-member passes as soon as reached code reads any attribute of the same
+Blind spot: attributes are matched whatever object they are read from, so
+a member passes as soon as reached code reads any attribute of the same
 name.  Two members that only unit tests used stood for that reason until
 they were deleted: ExperimentConfig.to_json (perfbench calls its Tracer's
 to_json) and CellVerdict.passed (claims c09 and c12 read the passed of a
@@ -57,19 +59,20 @@ def _is_all(node: ast.AST) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
-def _references(nodes) -> set:
-    """Names, attribute names and identifier-like string constants under nodes."""
-    refs = set()
+def _references(nodes) -> tuple:
+    """(names, attribute names and identifier-like string constants under
+    nodes; the attribute names and string constants alone)."""
+    names, attrs = set(), set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                attrs.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and node.value.isidentifier()):
-                refs.add(node.value)
-    return refs
+                attrs.add(node.value)
+    return names | attrs, attrs
 
 
 def _members(node) -> dict:
@@ -91,23 +94,26 @@ def _shell(node) -> list:
         n for n in node.body if n not in members]
 
 
-def _closure(names, definitions: dict) -> set:
+def _closure(names, attrs, definitions: dict) -> set:
     """The definitions, and the "Class.member" keys of their methods and
     properties, that `names` reach, directly or through the bodies of what
-    they reach."""
-    refs, reached = set(names), set()
+    they reach; a member only through `attrs`, the attribute names and
+    string constants among them."""
+    names, attrs, reached = set(names), set(attrs), set()
     grown = True
     while grown:
         grown = False
-        for name in refs & definitions.keys():
+        for name in names & definitions.keys():
             node = definitions[name]
             units = [(name, _shell(node))] + [
                 (f"{name}.{m}", [member])
-                for m, member in _members(node).items() if m in refs]
+                for m, member in _members(node).items() if m in attrs]
             for key, unit in units:
                 if key not in reached:
                     reached.add(key)
-                    refs |= _references(unit)
+                    more_names, more_attrs = _references(unit)
+                    names |= more_names
+                    attrs |= more_attrs
                     grown = True
     return reached
 
@@ -123,11 +129,13 @@ def reachability() -> tuple:
                 roots.append(node)
     roots += [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
     roots.append(_parse(ROOT / "tests" / "test_acceptance.py"))
-    reached = _closure(_references(roots) | {ENTRY}, definitions)
+    names, attrs = _references(roots)
+    reached = _closure(names | {ENTRY}, attrs, definitions)
     # a class that is not reached is unreached or pending as a whole
     members = {f"{name}.{m}" for name in reached & definitions.keys()
                for m in _members(definitions[name])}
-    return (set(definitions) | members) - reached, _closure(PENDING, definitions)
+    return ((set(definitions) | members) - reached,
+            _closure(PENDING, (), definitions))
 
 
 def test_library_definitions_are_reached_or_pending():

@@ -25,6 +25,7 @@ from kpztails.initial_data import (
     HypParams,
     NarrowWedge,
     Profile,
+    scale_center_height,
 )
 from kpztails import she
 from kpztails.she import (
@@ -38,9 +39,6 @@ from kpztails.she import (
     stationarity_report,
     wedge_readout_times,
 )
-
-LOG_INV_SQRT_2PI = -0.9189385332046727
-
 
 def heat_kernel(x, t):
     return np.exp(-np.asarray(x) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
@@ -67,12 +65,6 @@ def zero_noise(monkeypatch):
 def float64(monkeypatch):
     """The solver evolves the field in float64, for deterministic oracles."""
     monkeypatch.setattr(she, "_DTYPE", "float64")
-
-
-def readout(Z):
-    return EnsembleResult(probe_times=np.array([1.0]),
-                          probe_x=np.zeros(np.shape(Z)[-1]),
-                          Z=np.asarray(Z, dtype=float).reshape(1, 1, -1))
 
 
 class TestSolverConfig:
@@ -109,20 +101,6 @@ class TestSolverConfig:
                     dict(dx=math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 SolverConfig(**bad)
-
-
-class TestColeHopf:
-    def test_ones_map_to_zeros(self):
-        assert np.all(readout(np.ones(21)).H == 0.0)
-
-    def test_e_maps_to_one(self):
-        np.testing.assert_allclose(readout(np.full(21, math.e)).H, 1.0,
-                                   rtol=1e-15)
-
-    def test_heat_kernel_height_at_origin(self):
-        x = SolverConfig(dx=0.05, extent=4.0).x_grid
-        H = readout(heat_kernel(x, 1.0)).H[0, 0]
-        assert H[x.size // 2] == pytest.approx(LOG_INV_SQRT_2PI, rel=1e-12)
 
 
 @pytest.mark.usefixtures("zero_noise", "float64")
@@ -430,13 +408,6 @@ class TestEnsemble:
             solve_she_ensemble(NarrowWedge(), T=-1.0, cfg=self.CFG, seed=1,
                                n_replicas=2)
 
-    def test_height_readout_guards_positivity(self):
-        res = EnsembleResult(probe_times=np.array([1.0]),
-                             probe_x=np.array([0.0]),
-                             Z=np.array([[[0.0]]]))
-        with pytest.raises(FloatingPointError, match="nonpositive"):
-            _ = res.H
-
     def test_brownian_initial_data_runs(self):
         r = solve_she_ensemble(BrownianTwoSided(seed=5), T=0.5, cfg=self.CFG,
                                seed=2, n_replicas=4)
@@ -605,10 +576,8 @@ class TestConvolve:
         fixed_noise(monkeypatch, np.concatenate((mult[-2::-1], mult[-1:])))
         direct = solve_she_ensemble(initial, self.T, self.CFG, seed=0,
                                     n_replicas=1)
-        assert derived.Z.shape == direct.Z.shape == (1, 1, 1)
-        np.testing.assert_array_equal(derived.probe_times, direct.probe_times)
-        assert derived.Z[0, 0, 0] == pytest.approx(direct.Z[0, 0, 0],
-                                                   rel=1e-12)
+        assert derived.shape == (1,) and direct.Z.shape == (1, 1, 1)
+        assert derived[0] == pytest.approx(direct.Z[0, 0, 0], rel=1e-12)
 
     @pytest.mark.parametrize("initial", [Flat(), BrownianTwoSided(seed=8)])
     def test_same_law_as_direct_run(self, initial):
@@ -616,7 +585,7 @@ class TestConvolve:
         derived = convolve_upsilon_with_f(self.wedge(n, 1, cfg, T), initial,
                                           T, cfg)
         direct = solve_she_ensemble(initial, T, cfg, seed=2, n_replicas=n)
-        res = stats.ks_2samp(derived.H[:, 0, 0], direct.H[:, 0, 0])
+        res = stats.ks_2samp(derived, direct.Z[:, 0, 0])
         assert res.pvalue > 1e-3
 
     @pytest.mark.usefixtures("zero_noise", "float64")
@@ -625,7 +594,7 @@ class TestConvolve:
         # lattice Gaussian integral dx sum_x p(x) = 1
         cfg = SolverConfig(dx=0.05, extent=8.0)
         z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, 0.5), Flat(), 0.5,
-                                    cfg).Z[0, 0, 0]
+                                    cfg)[0]
         assert z == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.usefixtures("zero_noise", "float64")
@@ -636,7 +605,7 @@ class TestConvolve:
         cfg, T = SolverConfig(dx=0.05, extent=4.0), 0.5
         window = profile([-1.0, 1.0], [0.0, 0.0])
         z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, T), window, T,
-                                    cfg).Z[0, 0, 0]
+                                    cfg)[0]
         direct = solve_she_ensemble(window, T, cfg, seed=0, n_replicas=1)
         assert z == pytest.approx(direct.Z[0, 0, 0], rel=1e-12)
         ends = cfg.dx * heat_kernel(1.0, 1.0)
@@ -648,7 +617,7 @@ class TestConvolve:
         w = self.wedge(n_replicas=3)
         y0 = self.CFG.dx / (2.0 * self.T) ** (2.0 / 3.0) / 2.0
         z = convolve_upsilon_with_f(w, profile([-y0, y0], [0.0, 0.0]),
-                                    self.T, self.CFG).Z[:, 0, 0]
+                                    self.T, self.CFG)
         origin = self.CFG.n_sites // 2
         np.testing.assert_allclose(z, self.CFG.dx * w.Z[:, 1, origin],
                                    rtol=1e-14)
@@ -657,25 +626,27 @@ class TestConvolve:
         # f + c multiplies Z_0 by exp(T^{1/3} c), so h shifts by c exactly
         w, c = self.wedge(n_replicas=3), 0.7
         y, f = [-2.0, 0.5, 3.0], [-0.3, 0.2, -1.0]
-        h = [convolve_upsilon_with_f(w, profile(y, np.add(f, shift)), self.T,
-                                     self.CFG).H[:, 0, 0]
-             for shift in (0.0, c)]
-        np.testing.assert_allclose((h[1] - h[0]) / self.T ** (1.0 / 3.0), c,
-                                   rtol=1e-12)
+        h = []
+        for shift in (0.0, c):
+            initial = profile(y, np.add(f, shift))
+            z = convolve_upsilon_with_f(w, initial, self.T, self.CFG)
+            h.append(scale_center_height(z, self.T, initial))
+        np.testing.assert_allclose(h[1] - h[0], c, rtol=1e-12)
 
     def test_batched_rows_match_scalar_calls(self):
         w = self.wedge(n_replicas=3)
-        batch = convolve_upsilon_with_f(w, Flat(), self.T, self.CFG).Z
+        batch = convolve_upsilon_with_f(w, Flat(), self.T, self.CFG)
+        assert batch.shape == (3,) and batch.dtype == np.float64
         for r in range(3):
             row = EnsembleResult(probe_times=w.probe_times,
                                  probe_x=w.probe_x, Z=w.Z[r:r + 1])
             single = convolve_upsilon_with_f(row, Flat(), self.T, self.CFG)
-            np.testing.assert_allclose(single.Z, batch[r:r + 1], rtol=1e-15)
+            np.testing.assert_allclose(single, batch[r:r + 1], rtol=1e-15)
 
     def test_narrow_wedge_is_the_origin_readout(self):
         w = self.wedge(n_replicas=3)
         res = convolve_upsilon_with_f(w, NarrowWedge(), self.T, self.CFG)
-        assert np.array_equal(res.Z[:, 0, 0], w.Z[:, 1, self.CFG.n_sites // 2])
+        assert np.array_equal(res, w.Z[:, 1, self.CFG.n_sites // 2])
 
     def test_validation(self):
         final_only = solve_she_ensemble(NarrowWedge(), self.T, self.CFG,
