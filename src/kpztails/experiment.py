@@ -30,7 +30,8 @@ from .airy import laplace_exact, laplace_lhs
 from .bounds import DEFAULT_CONSTANTS, BoundQuery, evaluate_query
 from .initial_data import (BrownianTwoSided, Flat, InitialData, NarrowWedge,
                            scale_center_height)
-from .moments import MAX_MOMENT_K, SANDWICH_FACTOR, moment_exact, psi
+from .moments import (MAX_MOMENT_K, SANDWICH_FACTOR, moment_exact,
+                      moment_in_range, psi)
 from .she import (SolverConfig, convolve_upsilon_with_f, solve_she_ensemble,
                   wedge_readout_times)
 from .tails import VIOLATION, bound_violation_report
@@ -141,6 +142,10 @@ class ExperimentConfig:
         if not all(isinstance(k, int) and 1 <= k <= MAX_MOMENT_K
                    for k in self.moments_k):
             raise ValueError(f"moments_k must lie in [1, {MAX_MOMENT_K}]")
+        overflow = [(k, t) for k in self.moments_k for t in self.moments_T
+                    if not moment_in_range(k, t)]
+        if overflow:
+            raise ValueError(f"moments exceed float range at (k, T) = {overflow}")
         unknown = sorted(set(self.constants) - set(DEFAULT_CONSTANTS))
         if unknown:
             raise ValueError(f"unknown constants: {unknown}; "
@@ -325,7 +330,8 @@ def run_moments(config: ExperimentConfig, seed: int, out_dir) -> dict:
                          res.in_sandwich, res.quad_error))
             sandwich_ok = sandwich_ok and res.in_sandwich
             if k == 1:
-                closed = math.exp(T / 12.0) / (2.0 * math.sqrt(math.pi * T))
+                # in log space: e^{T/12} alone overflows below the range's edge
+                closed = math.exp(T / 12.0 - 0.5 * math.log(4.0 * math.pi * T))
                 closed_ok = closed_ok and math.isclose(res.value, closed,
                                                        rel_tol=1e-8)
     path = out / "moments.csv"

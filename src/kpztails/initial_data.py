@@ -18,7 +18,6 @@ scale_center_height chooses the form by the type of the initial data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -102,28 +101,6 @@ class Profile:
             vals = np.where(yi == self.y[-1], self.f[-1], vals)
             out[inside] = vals
         return out[0] if scalar else out
-
-
-def load_profile_csv(path) -> Profile:
-    """Read a two-column (y, f(y)) CSV; the literal "-inf" (ASCII or unicode
-    minus) is accepted for excluded regions.  A single non-numeric header row
-    is skipped."""
-    ys, fs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            cells = [c.strip().replace("−", "-") for c in row[:2]]
-            try:
-                yv = float(cells[0])
-            except ValueError:
-                if not ys:
-                    continue  # header
-                raise
-            fv = float(cells[1])
-            ys.append(yv)
-            fs.append(fv)
-    return Profile(np.asarray(ys), np.asarray(fs))
 
 
 @dataclass(frozen=True)

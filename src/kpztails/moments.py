@@ -30,9 +30,7 @@ This module evaluates the partition sum with one tensor Gauss-Hermite rule
 per partition whose node count doubles until successive rules agree (the
 last doubling difference is reported as the quadrature error).  It also
 provides psi_T and the combinatorial inequalities that drive the "69"
-constant (a cubic gap over partitions and a partition-count bound), and
-exposes the two moment-derived tail estimates: a Markov upper bound obtained
-by scanning the moment order, and a Paley-Zygmund-type lower bound.
+constant (a cubic gap over partitions and a partition-count bound).
 
 Everything here is a pure function; partition terms are summed in canonical
 (ascending lexicographic) order so results are deterministic.
@@ -43,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,17 +48,14 @@ __all__ = [
     "Partition",
     "PartitionTerm",
     "MomentResult",
-    "MarkovBound",
-    "PZLowerBound",
     "enumerate_partitions",
     "log_psi",
     "psi",
+    "moment_in_range",
     "moment_exact",
     "cauchy_det_check",
     "partition_cubic_gap",
     "siegel_check",
-    "markov_upper_tail",
-    "paley_zygmund_lower",
 ]
 
 MAX_PARTITION_K = 60
@@ -279,6 +273,13 @@ def _partition_integral(parts: tuple[int, ...], T: float) -> tuple[float, float]
         n, prev = 2 * n, value
 
 
+def moment_in_range(k: int, T: float) -> bool:
+    """Whether neither psi_T(k) nor any partition term's prefactor in
+    moment_exact(k, T) overflows; moment_exact raises OverflowError if not."""
+    logs = [_log_prefactor(lam, T) for lam in enumerate_partitions(k)]
+    return max(logs + [log_psi(k, T)]) <= _LOG_FLOAT_MAX
+
+
 def moment_exact(k: int, T: float) -> MomentResult:
     """E[exp(k T^{1/3} Upsilon_T(0))] by the partition sum, 1 <= k <= 6.
 
@@ -302,6 +303,8 @@ def moment_exact(k: int, T: float) -> MomentResult:
         raise ValueError(f"k must lie in [1, {MAX_MOMENT_K}], got {k}")
     if not T > 0.0:
         raise ValueError("T must be > 0")
+    if not moment_in_range(k, T):
+        raise OverflowError(f"moment_exact({k}, {T}) exceeds float range")
 
     terms: list[PartitionTerm] = []
     total = 0.0
@@ -310,11 +313,6 @@ def moment_exact(k: int, T: float) -> MomentResult:
     for lam in enumerate_partitions(k):
         parts = lam.parts
         log_pref = _log_prefactor(lam, T)
-        if log_pref > _LOG_FLOAT_MAX:
-            raise OverflowError(
-                f"partition {parts} term exceeds float range at T={T}; "
-                "moment_exact is limited to moderate k^3*T"
-            )
         pref = math.exp(log_pref)
         if lam.ell > _MAX_DIM:
             skip_bound = math.exp(log_pref + _gaussian_log_integral(parts, T))
@@ -386,128 +384,3 @@ def siegel_check(k: int) -> tuple[float, bool]:
     value = math.exp(log_v) if log_v <= _LOG_FLOAT_MAX else math.inf
     return value, value <= 68.0
 
-
-@dataclass(frozen=True)
-class MarkovBound:
-    """69 e^{-exponent} with exponent = max over scanned k of k s T^{1/3} - log psi_T(k)."""
-
-    value: float
-    exponent: float
-    best_k: int
-    k0: int
-    k_max: int
-
-
-def markov_upper_tail(s: float, T: float, k_max: Optional[int] = None) -> MarkovBound:
-    """Markov bound on P(Upsilon_T(0) >= s) from the psi envelope.
-
-    The analytic order choice k0 = floor(2 sqrt(s) T^{-1/3}) is only
-    asymptotically optimal, so the exponent is maximized by scanning
-    k = 1..k_max (k0 always falls inside the scan range).  The returned
-    value is a raw bound and exceeds 1 when s is small relative to T^{2/3};
-    callers clamp.
-    """
-    if not (s > 0.0 and T > 0.0):
-        raise ValueError("s and T must be positive")
-    k0 = math.floor(2.0 * math.sqrt(s) * T ** (-_THIRD))
-    if k_max is None:
-        k_max = max(12, 4 * max(k0, 1))
-    else:
-        k_max = operator.index(k_max)
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
-    k_max = max(k_max, k0, 1)
-    best_k = 1
-    exponent = -math.inf
-    st13 = s * T**_THIRD
-    for k in range(1, k_max + 1):
-        obj = k * st13 - log_psi(k, T)
-        if obj > exponent:
-            exponent = obj
-            best_k = k
-    log_value = math.log(SANDWICH_FACTOR) - exponent
-    value = math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
-    return MarkovBound(value=value, exponent=exponent, best_k=best_k,
-                       k0=k0, k_max=k_max)
-
-
-@dataclass(frozen=True)
-class PZLowerBound:
-    """2^{-q} M(k0)^q M(p k0)^{-q/p} with M(k) = E[exp(k T^{1/3} Upsilon_T(0))]."""
-
-    value: float
-    log_value: float
-    k0: int
-    p: float
-    q: float
-    valid: bool
-    surrogate: bool
-
-
-def paley_zygmund_lower(
-    s: float,
-    T: float,
-    p: float = 2.0,
-    q: Optional[float] = None,
-    eps: float = 0.1,
-    moment_source: Optional[Callable[[int], float]] = None,
-) -> PZLowerBound:
-    """Second-moment lower bound on P(Upsilon_T(0) > s).
-
-    Uses the order k0 = ceil(2 sqrt(3 (1 + 5 eps/6) s) T^{-1/3}) and Hoelder
-    conjugates p, q.  p*k0 must be an integer.  Without a moment_source the
-    psi envelope stands in conservatively: psi_T(k0) below for the numerator
-    and 69 psi_T(p k0) above for the denominator, so the returned value is
-    still a valid lower bound on the probability of the moment-dominance
-    event.  That event implies {Upsilon_T(0) > s} only when
-
-        exp(k0 s T^{1/3}) <= (1/2) k0! e^{k0^3 T/12} / (2 sqrt(pi T) k0^{3/2}),
-
-    which the `valid` flag records (it holds when s is large next to T^{2/3}).
-    A supplied moment_source must respect the psi sandwich at the two orders
-    used; violations raise.
-    """
-    if not (s > 0.0 and T > 0.0):
-        raise ValueError("s and T must be positive")
-    if q is None:
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
-        q = p / (p - 1.0)
-    if p <= 1.0 or q <= 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
-        raise ValueError("p and q must be Hoelder conjugates with p, q > 1")
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
-    k0 = max(1, math.ceil(2.0 * math.sqrt(3.0 * (1.0 + 5.0 * eps / 6.0) * s)
-                          * T ** (-_THIRD)))
-    pk0_real = p * k0
-    pk0 = round(pk0_real)
-    if abs(pk0_real - pk0) > 1e-9 or pk0 < 1:
-        raise ValueError(f"p*k0 = {pk0_real} must be a positive integer")
-
-    if moment_source is None:
-        log_num = log_psi(k0, T)
-        log_den = math.log(SANDWICH_FACTOR) + log_psi(pk0, T)
-        surrogate = True
-    else:
-        m_lo = float(moment_source(k0))
-        m_hi = float(moment_source(pk0))
-        for order, m in ((k0, m_lo), (pk0, m_hi)):
-            lp = log_psi(order, T)
-            if not (lp - 1e-9 <= math.log(m) <= math.log(SANDWICH_FACTOR) + lp + 1e-9):
-                raise ValueError(
-                    f"moment source violates the psi sandwich at order {order}"
-                )
-        log_num = math.log(m_lo)
-        log_den = math.log(m_hi)
-        surrogate = False
-
-    log_value = -q * math.log(2.0) + q * log_num - (q / p) * log_den
-    # dominance event implies the tail event iff exp(k0 s T^{1/3}) is at most
-    # half the (k) partition term
-    lhs = k0 * s * T**_THIRD
-    rhs = (-math.log(2.0) + math.lgamma(k0 + 1) + k0**3 * T / 12.0
-           - math.log(2.0) - 0.5 * math.log(math.pi * T) - 1.5 * math.log(k0))
-    valid = lhs <= rhs
-    value = math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
-    return PZLowerBound(value=value, log_value=log_value, k0=k0, p=p, q=q,
-                        valid=valid, surrogate=surrogate)

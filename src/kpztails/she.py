@@ -123,7 +123,10 @@ def _time_steps(T: float, cfg: SolverConfig) -> tuple:
     if not T > 0.0:
         raise ValueError("T must be positive")
     t_final = 2.0 * T
-    steps = max(1, math.ceil(t_final / cfg.dt_value - 1e-9))
+    ratio = t_final / cfg.dt_value
+    if not math.isfinite(ratio):
+        raise ValueError(f"2T/dt = {ratio} must be finite")
+    steps = max(1, math.ceil(ratio - 1e-9))
     return steps, t_final / steps
 
 

@@ -93,6 +93,10 @@ class TestMain:
         ('{"constants": {"s0": NaN}}', "constants must be finite"),
         # would end in an OverflowError in the solver
         ('{"extent": Infinity}', "extent must be finite"),
+        ('{"T": 1e308}', "2T/dt = inf must be finite"),
+        # would end in an OverflowError in moment_exact
+        ('{"moments_T": [2000.0]}',
+         "moments exceed float range at (k, T) = [(2, 2000.0)]"),
         # the fields that went with the Gibbs section and the GUE draws,
         # and the checks kept on the fields that no section reads
         ('{"airy_K": 10}', "unknown config fields: ['airy_K']"),

@@ -394,9 +394,10 @@ class TestPartialRuns:
     def test_moments_closed_form_check_is_relative(self, tmp_path,
                                                    monkeypatch):
         # at T = 300 the moment is 1.2e9, so rounding alone exceeds any
-        # fixed absolute tolerance of 1e-8
+        # fixed absolute tolerance of 1e-8; at T = 8550, inside
+        # moment_in_range, e^{T/12} alone exceeds the float range
         cfg = ExperimentConfig(**{**TINY, "moments_k": (1,),
-                                  "moments_T": (300.0, 1000.0)})
+                                  "moments_T": (300.0, 1000.0, 8550.0)})
         assert run_moments(cfg, 0, tmp_path)["checks"]["k1_closed_form"]
         real = experiment.moment_exact
 

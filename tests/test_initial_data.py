@@ -11,7 +11,6 @@ from kpztails.initial_data import (
     HypParams,
     NarrowWedge,
     Profile,
-    load_profile_csv,
     make_unscaled_initial,
     scale_center_height,
     validate_hyp,
@@ -115,13 +114,6 @@ class TestProfileEvaluation:
         assert p(0.0) == 3.0
         assert p(0.5) == -np.inf
         assert p(-0.25) == -np.inf
-
-    def test_csv_loader_accepts_inf_literals(self, tmp_path):
-        path = tmp_path / "prof.csv"
-        path.write_text("y,f\n-1.0,-inf\n0.0,0.25\n1.0,−inf\n")
-        p = load_profile_csv(path)
-        assert p.f[0] == -np.inf and p.f[2] == -np.inf
-        assert p(0.0) == 0.25
 
 
 class TestMakeUnscaledInitial:

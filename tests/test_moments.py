@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kpztails.moments import (
@@ -21,9 +21,7 @@ from kpztails.moments import (
     cauchy_det_check,
     enumerate_partitions,
     log_psi,
-    markov_upper_tail,
     moment_exact,
-    paley_zygmund_lower,
     partition_cubic_gap,
     psi,
     siegel_check,
@@ -396,91 +394,3 @@ class TestSiegel:
                 * partition_count_oracle(k) for k in range(1, 30)]
         assert max(peak) == pytest.approx(3.4783, abs=1e-3)
         assert int(np.argmax(peak)) + 1 == 3
-
-
-# ---------------------------------------------------------------- Markov bound
-
-
-class TestMarkovUpperTail:
-    def test_k0_example(self):
-        assert markov_upper_tail(4.0, 8.0).k0 == 2
-
-    def test_scan_matches_brute_force(self):
-        b = markov_upper_tail(9.0, 8.0)
-        assert b.k0 == 3
-        assert b.k_max == 12
-        ks = np.arange(1, 13)
-        obj = ks * 9.0 * 8.0 ** (1.0 / 3.0) - np.array([log_psi(int(k), 8.0) for k in ks])
-        assert b.best_k == int(ks[np.argmax(obj)])
-        assert abs(b.best_k - b.k0) <= 1
-        assert b.exponent == pytest.approx(float(np.max(obj)), rel=1e-12)
-
-    def test_bound_at_most_69_on_grid(self):
-        for s in (1.0, 2.0, 4.0, 9.0, 20.0):
-            for T in (1.0, 2.0, 8.0, 27.0, 50.0):
-                assert markov_upper_tail(s, T).value <= 69.0
-
-    def test_value_decreasing_in_s(self):
-        vals = [markov_upper_tail(s, 4.0).value for s in (2.0, 4.0, 8.0, 16.0)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            markov_upper_tail(4.0, 8.0, k_max=0)
-
-    def test_k0_always_scanned(self):
-        b = markov_upper_tail(400.0, 1.0, k_max=3)
-        assert b.k_max >= b.k0 == 40
-
-
-# ---------------------------------------------------------------- Paley-Zygmund
-
-
-class TestPaleyZygmund:
-    def test_p2_formula_instantiation(self):
-        # p = q = 2 reduces to (1/4) M(k0)^2 / M(2 k0) with the surrogates
-        # psi below and 69 psi above
-        r = paley_zygmund_lower(6.0, 4.0, p=2.0)
-        assert r.q == pytest.approx(2.0)
-        expect = (-2.0 * math.log(2.0) + 2.0 * log_psi(r.k0, 4.0)
-                  - (math.log(69.0) + log_psi(2 * r.k0, 4.0)))
-        assert r.log_value == pytest.approx(expect, rel=1e-12)
-
-    def test_reference_case_positive_below_one(self):
-        r = paley_zygmund_lower(6.0, 4.0, p=2.0)
-        assert 0.0 < r.value < 1.0
-        assert r.valid
-        assert r.surrogate
-
-    def test_conjugate_identity(self):
-        for p in np.linspace(1.01, 3.0, 40):
-            q = p / (p - 1.0)
-            assert q * (p * p - 1.0) == pytest.approx(p * (p + 1.0), rel=1e-9)
-
-    def test_non_integer_pk0_rejected(self):
-        # at (s, T) = (6, 4) the order k0 is 6, so p=1.25 gives p*k0 = 7.5
-        with pytest.raises(ValueError):
-            paley_zygmund_lower(6.0, 4.0, p=1.25)
-
-    def test_conjugate_validation(self):
-        with pytest.raises(ValueError):
-            paley_zygmund_lower(6.0, 4.0, p=2.0, q=3.0)
-
-    def test_moment_source_used_and_checked(self):
-        r0 = paley_zygmund_lower(1.0, 4.0, p=2.0)
-        src = lambda k: psi(k, 4.0) * 2.0
-        r1 = paley_zygmund_lower(1.0, 4.0, p=2.0, moment_source=src)
-        assert not r1.surrogate
-        assert r1.value != r0.value
-        with pytest.raises(ValueError):
-            paley_zygmund_lower(1.0, 4.0, p=2.0, moment_source=lambda k: psi(k, 4.0) * 100.0)
-
-    def test_invalid_when_s_small(self):
-        assert not paley_zygmund_lower(0.1, 8.0, p=2.0).valid
-
-    @given(s=st.floats(0.5, 20.0), T=st.floats(0.5, 20.0))
-    @settings(max_examples=40)
-    def test_bound_is_probabilistically_sane(self, s, T):
-        r = paley_zygmund_lower(s, T, p=2.0)
-        assert r.value >= 0.0
-        assert math.isfinite(r.log_value)

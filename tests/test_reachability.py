@@ -34,13 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kpztails"
 
-# unreached definitions and the ROADMAP direction that wires each of them
+# unreached definitions and the ROADMAP directions that wire each of them
 PENDING = {
-    "validate_hyp": "direction 4",
-    "load_profile_csv": "direction 4",
-    "markov_upper_tail": "direction 5",
-    "paley_zygmund_lower": "direction 5",
-    "boundary_bias_bound": "direction 2",
+    "validate_hyp": "direction 18",
+    "boundary_bias_bound": "directions 15 and 2",
 }
 
 # cli.main, the kpz-tails entry point in pyproject.toml
