@@ -177,8 +177,10 @@ def laplace_lhs(upsilon: np.ndarray, s: float, T: float) -> LaplaceEstimate:
 def laplace_exact(s: float, T: float) -> tuple[float, float, int]:
     """(det(I - K_Ai sigma_s), quad_error, nodes) at level s and time T.
 
-    Gauss-Legendre Nystrom on [s - 40/T^{1/3}, 14] (sigma_s < e^{-40}
-    below it, K_Ai(x, x) < 1e-32 above) with the symmetrized kernel
+    Gauss-Legendre Nystrom on [min(s - 40/T^{1/3}, 13), 14] (sigma_s <
+    e^{-40} below s - 40/T^{1/3}, K_Ai(x, x) < 1e-32 above 14; the cap at
+    13 keeps the window a unit wide at high levels, where the determinant
+    is 1 to within that error) with the symmetrized kernel
     sqrt(w sigma) K_Ai sqrt(w sigma), sigma_s(x) = expit(T^{1/3}(x - s));
     log det = sum log1p(-eigenvalue).  The node count doubles from
     _DET_NODES_START until successive log dets agree to _DET_TOL;
@@ -192,7 +194,7 @@ def laplace_exact(s: float, T: float) -> tuple[float, float, int]:
     if not T > 0.0:
         raise ValueError("T must be positive")
     t13 = T**_THIRD
-    lo, hi = s - 40.0 / t13, 14.0
+    lo, hi = min(s - 40.0 / t13, 13.0), 14.0
     n, prev = _DET_NODES_START, None
     while True:
         u, w = roots_legendre(n)

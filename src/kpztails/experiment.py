@@ -34,7 +34,7 @@ from .moments import (MAX_MOMENT_K, SANDWICH_FACTOR, moment_exact,
                       moment_in_range, psi)
 from .she import (SolverConfig, convolve_upsilon_with_f, solve_she_ensemble,
                   wedge_readout_times)
-from .tails import VIOLATION, bound_violation_report
+from .tails import VERDICTS, VIOLATION, bound_violation_report
 
 __all__ = [
     "ExperimentConfig",
@@ -252,7 +252,7 @@ def _summarize(out: Path, command: str, config: ExperimentConfig, seed: int,
 
 
 def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
-    """Centered/scaled one-point height samples at X = 0 for the narrow
+    """The runners' samples: Z(2T, 0), one value per replica, for the narrow
     wedge and each initial, all composed from one n_samples-replica
     narrow-wedge ensemble at T, read on every site at its last two steps."""
     cfg = config.solver()
@@ -260,12 +260,16 @@ def _collect_samples(config: ExperimentConfig, seed: int) -> dict:
         NarrowWedge(), config.T, cfg, seed=_stream_seed(seed, "narrow_wedge"),
         n_replicas=config.n_samples,
         probe_times=wedge_readout_times(config.T, cfg), probe_x=cfg.x_grid)
-    samples = {}
-    for name in dict.fromkeys(("narrow_wedge", *config.initials)):
-        data = _INITIAL[name].data(seed)
-        Z = convolve_upsilon_with_f(wedge, data, config.T, cfg)
-        samples[name] = scale_center_height(Z, config.T, data)
-    return samples
+    return {name: convolve_upsilon_with_f(wedge, _INITIAL[name].data(seed),
+                                          config.T, cfg)
+            for name in dict.fromkeys(("narrow_wedge", *config.initials))}
+
+
+def _heights(config: ExperimentConfig, seed: int, samples: dict,
+             name: str) -> np.ndarray:
+    """The centered/scaled heights of initial `name` from its Z samples."""
+    return scale_center_height(samples[name], config.T,
+                               _INITIAL[name].data(seed))
 
 
 def run_simulate(config: ExperimentConfig, seed: int, out_dir,
@@ -276,7 +280,7 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
         samples = _collect_samples(config, seed)
     artifacts, stats_block = [], {}
     for name in config.initials:
-        vals = samples[name]
+        vals = _heights(config, seed, samples, name)
         path = out / f"samples_{name}.csv"
         _write_csv(path, ["replica", "value"],
                    ((i, float(v)) for i, v in enumerate(vals)))
@@ -286,9 +290,8 @@ def run_simulate(config: ExperimentConfig, seed: int, out_dir,
             "mean": float(vals.mean()),
             "sd": float(vals.std(ddof=1)),
         }
-    # judge the wedge readout that every run makes, scaled back to Z(2T, 0)
-    z = np.exp(config.T ** (1.0 / 3.0) * samples["narrow_wedge"]
-               - config.T / 12.0)
+    # judge the wedge readout that every run makes
+    z = samples["narrow_wedge"]
     se = z.std(ddof=1) / math.sqrt(z.size)
     exact = 1.0 / (2.0 * math.sqrt(math.pi * config.T))
     checks = {"first_moment_z": bool(abs(z.mean() - exact) <= 3.0 * se)}
@@ -348,9 +351,10 @@ def run_airy(config: ExperimentConfig, seed: int, out_dir,
     out = _out_dir(out_dir)
     if samples is None:
         samples = _collect_samples(config, seed)
+    ups = _heights(config, seed, samples, "narrow_wedge")
     rows, ok = [], True
     for s in config.airy_s:
-        lhs = laplace_lhs(samples["narrow_wedge"], s=s, T=config.T)
+        lhs = laplace_lhs(ups, s=s, T=config.T)
         det, quad_error, nodes = laplace_exact(s, config.T)
         # no slack but the quadrature error; an unconverged det is NaN: fails
         within = bool(abs(lhs.value - det) <= 3.0 * lhs.se + quad_error)
@@ -371,12 +375,13 @@ def run_report(config: ExperimentConfig, seed: int, out_dir,
     if samples is None:
         samples = _collect_samples(config, seed)
     rows = []
-    counts = {"CONSISTENT": 0, "VIOLATION": 0, "UNTESTABLE-AT-SCALE": 0}
+    counts = dict.fromkeys(VERDICTS, 0)
     for name in config.initials:
         queries = [config.query(theorem, s)
                    for theorem in _INITIAL[name].theorems
                    for s in config.s_grid]
-        for v in bound_violation_report(samples[name], queries, config.alpha):
+        for v in bound_violation_report(_heights(config, seed, samples, name),
+                                        queries, config.alpha):
             counts[v.verdict] += 1
             rows.append((name, v.theorem, v.side, v.s, v.T,
                          v.envelope_raw, v.envelope, v.estimate, v.ci_lo,

@@ -130,8 +130,25 @@ def _time_steps(T: float, cfg: SolverConfig) -> tuple:
     return steps, t_final / steps
 
 
-def _heat_step(Z: np.ndarray, out: np.ndarray, lam) -> None:
-    """out = Z + lam * discrete Laplacian with Dirichlet zero ghosts.
+def _probe_steps(times, steps: int, dt: float) -> np.ndarray:
+    """The step of each readout time, which must be a distinct whole multiple
+    of dt in (0, steps * dt]: a step fills one readout column, so a repeated
+    time would leave one unset.  Checked in float, so that a step past int64
+    is rejected, not wrapped."""
+    times = np.asarray(times, dtype=float)
+    k = np.round(times / dt)
+    # every test reads False on NaN; a set, since np.unique imports
+    # numpy.ma, 14 ms of cold start for every ExperimentConfig user
+    valid = (np.abs(k * dt - times) <= 1e-9) & (k >= 1) & (k <= steps)
+    if not valid.all() or len(set(k.tolist())) < k.size:
+        raise ValueError(f"probe times must be distinct step multiples in "
+                         f"(0, {steps * dt:g}], dt = {dt:g}")
+    return k.astype(int)
+
+
+def _heat_step(Z: np.ndarray, out: np.ndarray, dt: float, dx: float) -> None:
+    """out = H Z = Z + lam * discrete Laplacian with Dirichlet zero ghosts,
+    lam = dt/(2 dx^2) in Z's float type.
 
     Z and out are C-contiguous.  The neighbour sums run over their flattened
     rows, one contiguous sweep instead of one short sweep per row; the end
@@ -140,6 +157,7 @@ def _heat_step(Z: np.ndarray, out: np.ndarray, lam) -> None:
     """
     z = Z.reshape(-1)
     o = out.reshape(-1)
+    lam = Z.dtype.type(dt / (2.0 * dx**2))
     np.add(z[2:], z[:-2], out=o[1:-1])
     o[1:-1] -= 2.0 * z[1:-1]
     out[..., 0] = Z[..., 1] - 2.0 * Z[..., 0]
@@ -210,7 +228,6 @@ def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
     Every window's noise goes into one buffer sized by the first, the largest.
     """
     dtype = Z.dtype
-    lam = dtype.type(dt / (2.0 * dx**2))
     sigma = dtype.type(math.sqrt(dt / dx))
     buf = np.empty_like(Z)
     n, n_sites = Z.shape
@@ -221,7 +238,7 @@ def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
         w = min(_WINDOW, steps - start)
         mult = _window_multipliers(gens, w, n_sites, sigma, noise, u)
         for j in range(w):
-            _heat_step(Z, buf, lam)
+            _heat_step(Z, buf, dt, dx)
             Z, buf = buf, Z
             Z *= mult[:, j]
             yield Z
@@ -340,15 +357,8 @@ def solve_she_ensemble(
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    t_final = 2.0 * T
-    times = np.array([t_final] if probe_times is None else probe_times, float)
-    step_of = np.round(times / dt).astype(int)
-    # a step fills one readout column: a repeated time would leave one unset
-    if (np.any(np.abs(step_of * dt - times) > 1e-9) or np.any(step_of < 1)
-            or np.any(step_of > steps)
-            or np.unique(step_of).size < times.size):
-        raise ValueError(f"probe times must be distinct step multiples in "
-                         f"(0, {t_final:g}], dt = {dt:g}")
+    step_of = _probe_steps([2.0 * T] if probe_times is None else probe_times,
+                           steps, dt)
 
     x_snap = snap_to_grid(probe_x, cfg.dx)
     half = cfg.n_sites // 2
@@ -357,7 +367,7 @@ def solve_she_ensemble(
         raise ValueError("probe positions outside the lattice extent")
 
     Z0 = _initial_Z(initial, T, cfg).astype(_DTYPE)
-    out = np.empty((n_replicas, times.size, x_snap.size), dtype=np.float64)
+    out = np.empty((n_replicas, step_of.size, x_snap.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
     def run_block(lo: int, hi: int) -> None:
@@ -400,11 +410,16 @@ def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
 
 
 def wedge_readout_times(T: float, cfg: SolverConfig) -> tuple:
-    """(2T - dt, 2T), the wedge readouts that convolve_upsilon_with_f needs."""
+    """(2T - dt, 2T), the wedge readouts that convolve_upsilon_with_f needs;
+    raises where solve_she_ensemble would reject them."""
     steps, dt = _time_steps(T, cfg)
-    if steps < 2:
-        raise ValueError(f"2T = {2.0 * T:g} must span two or more steps")
-    return (2.0 * T - dt, 2.0 * T)
+    times = (2.0 * T - dt, 2.0 * T)
+    try:
+        _probe_steps(times, steps, dt)
+    except ValueError as exc:
+        raise ValueError(f"2T = {2.0 * T:g} must span two or more distinct "
+                         f"steps: {exc}") from None
+    return times
 
 
 def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
@@ -429,11 +444,10 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
     origin = cfg.n_sites // 2
     Z = wedge.Z[:, 1, origin]
     if isinstance(initial, NarrowWedge):
-        return Z
+        return Z.copy()  # a view would keep the whole field alive
     _, dt = _time_steps(T, cfg)
     HW = np.empty_like(wedge.Z[:, 0])
-    _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW,
-               dt / (2.0 * cfg.dx**2))
+    _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW, dt, cfg.dx)
     return cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, T, cfg))
 
 

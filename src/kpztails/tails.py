@@ -41,6 +41,8 @@ __all__ = [
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 UNTESTABLE = "UNTESTABLE-AT-SCALE"
+# every verdict a cell can get; the summaries count each of them
+VERDICTS = (CONSISTENT, VIOLATION, UNTESTABLE)
 
 MIN_EXPECTED_HITS = 10.0
 

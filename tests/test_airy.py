@@ -294,6 +294,10 @@ class TestLaplaceExact:
 
     def test_limits(self):
         assert laplace_exact(30.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+        # levels whose s - 40/T^{1/3} lies above the kernel's cut at 14
+        for s, T in ((60.0, 1.0), (20.0, 1e6)):
+            value, err, _ = laplace_exact(s, T)
+            assert value == pytest.approx(1.0, abs=1e-12) and err <= 1e-10
         assert laplace_exact(-6.0, 2.0)[0] < 1e-3
         values = [laplace_exact(s, 2.0)[0] for s in (-3.0, -1.0, 0.0, 2.0)]
         assert all(a < b for a, b in zip(values, values[1:]))

@@ -94,6 +94,9 @@ class TestMain:
         # would end in an OverflowError in the solver
         ('{"extent": Infinity}', "extent must be finite"),
         ('{"T": 1e308}', "2T/dt = inf must be finite"),
+        # would end in the solver's ValueError: 2T - dt and 2T round to
+        # one step multiple
+        ('{"T": 1e13}', "distinct step multiples"),
         # would end in an OverflowError in moment_exact
         ('{"moments_T": [2000.0]}',
          "moments exceed float range at (k, T) = [(2, 2000.0)]"),

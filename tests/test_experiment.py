@@ -14,6 +14,8 @@ from kpztails.bounds import BoundQuery
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
                                  run_airy, run_all, run_moments, run_simulate)
 from kpztails.initial_data import NarrowWedge
+from kpztails.she import (convolve_upsilon_with_f, solve_she_ensemble,
+                          wedge_readout_times)
 
 # small enough for the whole bundle to run in about a second
 TINY = dict(n_samples=60, s_grid=(1.0, 2.0), moments_k=(1, 2),
@@ -30,6 +32,18 @@ def bundle(tiny_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
     summary = run_all(tiny_cfg, seed=0, out_dir=out)
     return out, summary
+
+
+@pytest.fixture(scope="module")
+def wedge_z(tiny_cfg):
+    """The bundle's raw narrow-wedge Z(2T, 0), recomputed from its stream."""
+    cfg = tiny_cfg.solver()
+    wedge = solve_she_ensemble(
+        NarrowWedge(), tiny_cfg.T, cfg,
+        seed=experiment._stream_seed(0, "narrow_wedge"),
+        n_replicas=tiny_cfg.n_samples,
+        probe_times=wedge_readout_times(tiny_cfg.T, cfg), probe_x=cfg.x_grid)
+    return convolve_upsilon_with_f(wedge, NarrowWedge(), tiny_cfg.T, cfg)
 
 
 def _read_csv(path):
@@ -184,12 +198,16 @@ class TestBundle:
             assert [int(r[0]) for r in rows] == list(range(len(rows)))
             assert all(math.isfinite(float(r[1])) for r in rows)
 
-    def test_simulate_first_moment_check(self, bundle):
+    def test_simulate_first_moment_check(self, bundle, wedge_z):
         out, _ = bundle
         summary = json.loads((out / "simulate_summary.json").read_text())
         assert summary["checks"]["first_moment_z"] is True
         nw = summary["stats"]["narrow_wedge"]
         assert abs(nw["z_mean"] - nw["z_exact"]) <= 3.0 * nw["z_se"]
+        # the check reads the raw wedge readout, not Z rebuilt from heights
+        assert nw["z_mean"] == float(wedge_z.mean())
+        assert nw["z_se"] == float(wedge_z.std(ddof=1)
+                                   / math.sqrt(wedge_z.size))
 
     def test_bounds_table_covers_every_theorem(self, bundle, tiny_cfg):
         out, _ = bundle
@@ -276,27 +294,25 @@ class TestBundle:
 
 
 class TestAiryCheck:
-    def test_shifted_samples_fail(self, bundle, tiny_cfg, tmp_path):
+    def test_shifted_samples_fail(self, wedge_z, tiny_cfg, tmp_path):
         # seed 0's tiny bundle first fails at shifts of +0.35 and -0.42 (on
         # a 0.01 grid); a slack on the check, such as the 0.05 it once
         # had, lets both of these pass
-        out, _ = bundle
-        ups = _read_samples(out / "samples_narrow_wedge.csv")
         for delta in (0.36, -0.43):
+            # a height shift of delta scales Z by exp(T^{1/3} delta)
+            shifted = wedge_z * math.exp(tiny_cfg.T ** (1.0 / 3.0) * delta)
             summary = run_airy(tiny_cfg, 0, tmp_path,
-                               samples={"narrow_wedge": ups + delta})
+                               samples={"narrow_wedge": shifted})
             assert summary["checks"] == {"laplace_identity": False}, delta
             assert summary["status"] == "fail"
 
-    def test_unconverged_determinant_fails(self, bundle, tiny_cfg, tmp_path,
+    def test_unconverged_determinant_fails(self, wedge_z, tiny_cfg, tmp_path,
                                            monkeypatch):
         # 60 and 120 nodes disagree by 2e-5 to 3e-4 at the tiny levels,
         # so the determinant stops unconverged and the check must fail
-        out, _ = bundle
-        ups = _read_samples(out / "samples_narrow_wedge.csv")
         monkeypatch.setattr(airy, "_DET_NODES_MAX", 120)
         summary = run_airy(tiny_cfg, 0, tmp_path,
-                           samples={"narrow_wedge": ups})
+                           samples={"narrow_wedge": wedge_z})
         assert summary["checks"] == {"laplace_identity": False}
         _, rows = _read_csv(tmp_path / "airy.csv")
         assert all(r[3] == "nan" and r[7] == "False" for r in rows)

@@ -154,10 +154,9 @@ class TestZeroNoise:
         if isinstance(initial, NarrowWedge):
             Z = np.zeros(cfg.n_sites)
             Z[cfg.n_sites // 2] = 1.0 / cfg.dx
-        lam = (2.0 * T / steps) / (2.0 * cfg.dx**2)
         buf = np.empty_like(Z)
         for _ in range(steps):
-            she._heat_step(Z, buf, lam)
+            she._heat_step(Z, buf, 2.0 * T / steps, cfg.dx)
             Z, buf = buf, Z
         assert np.array_equal(final_field(initial, T, cfg), Z)
 
@@ -322,9 +321,9 @@ class TestEnsemble:
     def test_heat_step_matches_per_row_stencil(self):
         rng = np.random.default_rng(0)
         Z = rng.random((3, 7), dtype=np.float32) + np.float32(0.5)
-        lam = np.float32(0.25)
+        lam = np.float32(0.25)  # dt / (2 dx^2) at dt = 0.5, dx = 1
         out = np.empty_like(Z)
-        she._heat_step(Z, out, lam)
+        she._heat_step(Z, out, 0.5, 1.0)
         for row, got in zip(Z, out):
             padded = np.concatenate(([0.0], row, [0.0])).astype(np.float32)
             lap = padded[2:] + padded[:-2] - np.float32(2.0) * row
