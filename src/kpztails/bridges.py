@@ -18,6 +18,23 @@ standard per-segment crossing correction: conditionally on the sampled
 grid values, each segment of a Brownian path crosses a linear barrier
 with an explicit probability, which removes the discretization bias of a
 plain grid minimum.
+
+Every sampler here runs one pipeline (_PathKernel).  The calling thread
+draws each batch's standard normals from the one default_rng stream, in
+row order, one block of _BLOCK_ROWS rows at a time, into two blocks it
+alternates between.  One worker thread turns each block, in place, into
+bridge paths and then into Gibbs weights or crossing probabilities, while
+the calling thread draws the next block; a Gibbs batch's uniforms are
+drawn after its last block of normals.  The outputs do not depend on the
+block size, bit for bit: standard_normal fills sequentially, so blocks of
+it are the draws of one whole-batch call; every other step acts row by
+row, with the same ufuncs in the same order as a whole-batch computation;
+the row reductions (cumsum, sum, prod) read contiguous rows; and each
+batch's sums over paths run over one batch-sized array.  Memory is the
+output, or one batch of Gibbs proposals (up to 20,000 paths, 10 MB at 64
+steps) written in place, plus three row blocks of about 1 MB: two of
+normals and one of worker scratch.  The Monte Carlo keeps no paths beyond
+one more row block, and one batch of crossing probabilities.
 """
 
 from __future__ import annotations
@@ -45,6 +62,9 @@ _MIN_ACCEPT_PROPOSALS = 10**6
 # paths per batch of bridge_min_tail_mc and, at most, of gibbs_resample
 _MC_CHUNK = 10**5
 _GIBBS_CHUNK = 2 * 10**4
+# rows per block of the path pipeline (_PathKernel): one block of normals
+# is about 1 MB at 64 steps
+_BLOCK_ROWS = 2048
 # quantile points at which dominance_test compares the two CDFs
 _DOMINANCE_GRID = 21
 
@@ -83,22 +103,88 @@ class BridgeSpec:
         return np.linspace(self.a, self.b, self.n_steps + 1)
 
 
-def _sample_bridges(spec: BridgeSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent bridge paths, shape (n, n_steps + 1), endpoints exact."""
+def _scratch(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows x cols entries of a flat scratch buffer, C-contiguous."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+def _bridge_rows(spec: BridgeSpec, z: np.ndarray, paths: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Write into paths (rows, n_steps + 1) the bridges whose increments are
+    sqrt(dt) z, for standard normals z (rows, n_steps).
+
+    Each path is W - frac (W_end - (y - x)) + x for the walk W of the
+    increments, with both endpoints set exactly.  z is scaled in place and
+    tmp, a C-contiguous (rows, n_steps + 1) block, is overwritten.
+    """
     m = spec.n_steps
-    dt = spec.length / m
-    incr = rng.standard_normal((n, m)) * math.sqrt(dt)
-    w = np.concatenate([np.zeros((n, 1)), np.cumsum(incr, axis=1)], axis=1)
-    frac = np.linspace(0.0, 1.0, m + 1)
-    paths = spec.x + w - frac * (w[:, -1:] - (spec.y - spec.x))
+    np.multiply(z, math.sqrt(spec.length / m), out=z)
+    paths[:, 0] = 0.0
+    np.cumsum(z, axis=1, out=paths[:, 1:])
+    shift = paths[:, -1:] - (spec.y - spec.x)
+    np.multiply(np.linspace(0.0, 1.0, m + 1), shift, out=tmp)
+    np.add(paths, spec.x, out=paths)
+    np.subtract(paths, tmp, out=paths)
     paths[:, 0] = spec.x
     paths[:, -1] = spec.y
-    return paths
+
+
+class _PathKernel:
+    """The path pipeline of one call: normals drawn on the calling thread,
+    rows finished on one worker thread.
+
+    Its buffers are allocated once, on the calling thread: two blocks of
+    normals that fill() alternates between, and one flat worker scratch
+    block of (n_steps + 1) doubles per row that _scratch() reshapes.
+    """
+
+    def __init__(self, spec: BridgeSpec, max_rows: int) -> None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        m = spec.n_steps
+        self.block = max(1, min(_BLOCK_ROWS, max_rows))
+        self.normals = (np.empty((self.block, m)), np.empty((self.block, m)))
+        self.scratch = np.empty(self.block * (m + 1))
+        self.pool = ThreadPoolExecutor(1, thread_name_prefix="bridges")
+
+    def __enter__(self) -> "_PathKernel":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.pool.shutdown()
+
+    def fill(self, rng: np.random.Generator, n_rows: int, finish) -> None:
+        """Call finish(lo, hi, z) on the worker for the normals z of rows
+        [lo, hi), for every block of rows of [0, n_rows) in order.
+
+        The normals are drawn from rng in row order, so they are the draws
+        of one rng.standard_normal((n_rows, n_steps)); while the worker
+        finishes a block, this thread draws the next.  finish owns z until
+        it returns and may overwrite it.  A worker error is raised here.
+        """
+        pending = None
+        for k, lo in enumerate(range(0, n_rows, self.block)):
+            hi = min(lo + self.block, n_rows)
+            z = self.normals[k % 2][:hi - lo]
+            rng.standard_normal(out=z)
+            if pending is not None:
+                pending.result()
+            pending = self.pool.submit(finish, lo, hi, z)
+        if pending is not None:
+            pending.result()
 
 
 def sample_bridge(spec: BridgeSpec, seed: int, n: int) -> np.ndarray:
     """n bridge paths stacked row-wise, shape (n, n_steps + 1)."""
-    return _sample_bridges(spec, np.random.default_rng(seed), int(n))
+    n = int(n)
+    paths = np.empty((n, spec.n_steps + 1))
+    with _PathKernel(spec, n) as kernel:
+        def finish(lo, hi, z):
+            _bridge_rows(spec, z, paths[lo:hi],
+                         _scratch(kernel.scratch, hi - lo, spec.n_steps + 1))
+
+        kernel.fill(np.random.default_rng(seed), n, finish)
+    return paths
 
 
 def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, float]:
@@ -117,22 +203,34 @@ def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, floa
     return exact, upper
 
 
-def _segment_lower_crossing(paths: np.ndarray, barrier: np.ndarray, dt) -> np.ndarray:
-    """Per-path probability that a piecewise Brownian path dips below a
-    (piecewise linear) lower barrier, given the grid values.
+def _crossing_rows(paths: np.ndarray, level: float, dt: float, p: np.ndarray,
+                   ga: np.ndarray, gb: np.ndarray, both: np.ndarray) -> None:
+    """Write into p (rows,) the probability that each piecewise Brownian
+    path of paths (rows, n_steps + 1) dips below the constant level, given
+    its grid values.
 
-    Conditionally on endpoints above the barrier, each segment crosses with
-    probability exp(-2 (a - u_a)(b - u_b) / dt); endpoints at or below the
-    barrier cross surely.  Segments are conditionally independent.
+    Conditionally on endpoints above the level, each segment crosses with
+    probability exp(-2 (a - m)(b - m) / dt); endpoints at or below it cross
+    surely.  Segments are conditionally independent.  ga, gb (rows, n_steps)
+    C-contiguous and both, a boolean array of two such blocks, are
+    overwritten.
     """
-    ga = paths[:, :-1] - barrier[:-1]
-    gb = paths[:, 1:] - barrier[1:]
+    np.subtract(paths[:, :-1], level, out=ga)
+    np.subtract(paths[:, 1:], level, out=gb)
+    above = np.greater(ga, 0, out=both[0])
+    np.logical_and(above, np.greater(gb, 0, out=both[1]), out=above)
     with np.errstate(over="ignore"):
-        p_seg = np.where((ga > 0) & (gb > 0),
-                         np.exp(-2.0 * np.maximum(ga, 0) * np.maximum(gb, 0) / dt),
-                         1.0)
-    no_cross = np.prod(1.0 - p_seg, axis=1)
-    return 1.0 - no_cross
+        np.maximum(ga, 0, out=ga)
+        np.multiply(ga, -2.0, out=ga)
+        np.maximum(gb, 0, out=gb)
+        np.multiply(ga, gb, out=ga)
+        np.divide(ga, dt, out=ga)
+        np.exp(ga, out=ga)
+    # 1 - P(segment crosses); a sure crossing leaves 1 - 1 = 0
+    np.subtract(1.0, ga, out=ga)
+    np.copyto(ga, 0.0, where=np.logical_not(above, out=above))
+    np.prod(ga, axis=1, out=p)
+    np.subtract(1.0, p, out=p)
 
 
 def bridge_min_tail_mc(
@@ -152,21 +250,36 @@ def bridge_min_tail_mc(
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     spec = BridgeSpec(a=0.0, b=L, x=x, y=y, step=L / n_steps)
-    m = min(x, y) - s
-    barrier = np.full(spec.n_steps + 1, m)
-    dt = L / spec.n_steps
+    level = min(x, y) - s
+    m = spec.n_steps
+    dt = L / m
     rng = np.random.default_rng(seed)
+    p_batch = np.empty(min(_MC_CHUNK, n))
     total = 0.0
     total_sq = 0.0
     done = 0
-    while done < n:
-        take = min(_MC_CHUNK, n - done)
-        paths = _sample_bridges(spec, rng, take)
-        p = _segment_lower_crossing(paths, barrier, dt)
-        total += float(np.sum(p))
-        total_sq += float(np.sum(p * p))
-        done += take
+    with _PathKernel(spec, len(p_batch)) as kernel:
+        path_block = np.empty(kernel.block * (m + 1))
+        both = np.empty((2, kernel.block * m), dtype=bool)
+
+        def finish(lo, hi, z):
+            r = hi - lo
+            paths = _scratch(path_block, r, m + 1)
+            _bridge_rows(spec, z, paths, _scratch(kernel.scratch, r, m + 1))
+            _crossing_rows(paths, level, dt, p_batch[lo:hi],
+                           _scratch(kernel.scratch, r, m), z,
+                           both[:, :r * m].reshape(2, r, m))
+
+        while done < n:
+            take = min(_MC_CHUNK, n - done)
+            kernel.fill(rng, take, finish)
+            p = p_batch[:take]
+            total += float(np.sum(p))
+            total_sq += float(np.sum(p * p))
+            done += take
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
@@ -210,14 +323,23 @@ class GibbsResult:
         return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
 
 
-def _gibbs_weights(spec: GibbsSpec, paths: np.ndarray) -> np.ndarray:
-    """W = exp(-trapezoid of H_T(g - L)) per path; W in (0, 1]."""
-    grid = spec.bridge.grid
+def _weight_rows(spec: GibbsSpec, paths: np.ndarray, w: np.ndarray,
+                 h: np.ndarray, t: np.ndarray) -> None:
+    """Write into w (rows,) the weights W = exp(-trapezoid of H_T(g - L)) of
+    paths (rows, n_steps + 1); W in (0, 1].  h (rows, n_steps + 1) and
+    t (rows, n_steps), both C-contiguous, are overwritten.
+    """
     with np.errstate(over="ignore"):
-        h = np.exp(spec.T**_THIRD * (spec.lower_curve - paths))
-        integral = np.trapezoid(h, grid, axis=1)
-        w = np.exp(-integral)
-    return w
+        np.subtract(spec.lower_curve, paths, out=h)
+        np.multiply(h, spec.T**_THIRD, out=h)
+        np.exp(h, out=h)
+        # np.trapezoid's steps: d (h_right + h_left) / 2 summed along the row
+        np.add(h[:, 1:], h[:, :-1], out=t)
+        np.multiply(t, np.diff(spec.bridge.grid), out=t)
+        np.divide(t, 2.0, out=t)
+        np.sum(t, axis=1, out=w)
+        np.negative(w, out=w)
+        np.exp(w, out=w)
 
 
 def gibbs_resample(
@@ -237,30 +359,44 @@ def gibbs_resample(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
+    bridge = spec.bridge
+    m = bridge.n_steps
+    # batches never grow, so the first one sizes the buffers
+    size = min(_GIBBS_CHUNK, max(1024, 2 * n))
+    paths_batch = np.empty((size, m + 1))
+    w_batch = np.empty(size)
     accepted: list[np.ndarray] = []
     n_acc = 0
     n_prop = 0
     w_sum = 0.0
     w_max = 0.0
-    while n_acc < n:
-        take = min(_GIBBS_CHUNK, max(1024, 2 * (n - n_acc)))
-        paths = _sample_bridges(spec.bridge, rng, take)
-        w = _gibbs_weights(spec, paths)
-        u = rng.random(take)
-        keep = u < w
-        n_prop += take
-        n_acc += int(np.sum(keep))
-        w_sum += float(np.sum(w))
-        w_max = max(w_max, float(np.max(w)))
-        if np.any(keep):
-            accepted.append(paths[keep])
-        if n_prop >= _MIN_ACCEPT_PROPOSALS and n_acc < _MIN_ACCEPT_RATE * n_prop:
-            raise RuntimeError(
-                "boundary too constraining: acceptance rate "
-                f"{n_acc / n_prop:.3g} after {n_prop} proposals "
-                f"(mean weight {w_sum / n_prop:.3g}, max weight {w_max:.3g})")
+    with _PathKernel(bridge, size) as kernel:
+        def finish(lo, hi, z):
+            r = hi - lo
+            h = _scratch(kernel.scratch, r, m + 1)
+            _bridge_rows(bridge, z, paths_batch[lo:hi], h)
+            _weight_rows(spec, paths_batch[lo:hi], w_batch[lo:hi], h, z)
+
+        while n_acc < n:
+            take = min(_GIBBS_CHUNK, max(1024, 2 * (n - n_acc)))
+            kernel.fill(rng, take, finish)
+            paths = paths_batch[:take]
+            w = w_batch[:take]
+            u = rng.random(take)
+            keep = u < w
+            n_prop += take
+            n_acc += int(np.sum(keep))
+            w_sum += float(np.sum(w))
+            w_max = max(w_max, float(np.max(w)))
+            if np.any(keep):
+                accepted.append(paths[keep])
+            if n_prop >= _MIN_ACCEPT_PROPOSALS and n_acc < _MIN_ACCEPT_RATE * n_prop:
+                raise RuntimeError(
+                    "boundary too constraining: acceptance rate "
+                    f"{n_acc / n_prop:.3g} after {n_prop} proposals "
+                    f"(mean weight {w_sum / n_prop:.3g}, max weight {w_max:.3g})")
     paths = np.concatenate(accepted, axis=0)[:n]
-    return GibbsResult(paths=paths, grid=spec.bridge.grid, n_proposals=n_prop,
+    return GibbsResult(paths=paths, grid=bridge.grid, n_proposals=n_prop,
                        n_accepted=n_acc, mean_weight=w_sum / n_prop,
                        max_weight=w_max)
 

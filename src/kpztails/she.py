@@ -314,7 +314,9 @@ def run_row_blocks(run_block, n_rows: int, chunk: int) -> None:
     all of them are done.  run_block writes only its own rows, so the
     worker count cannot change the result.  The ensemble solver and the
     GUE edge sampler (airy.sample_gue_edge_many) both split their rows
-    here.
+    here.  The bridge samplers do not: all their rows draw from one random
+    stream, so they keep it on the calling thread and finish the rows on
+    one worker of their own (bridges._PathKernel), whatever the core count.
     """
     cores = usable_cores()
     with ThreadPoolExecutor(cores) as pool:

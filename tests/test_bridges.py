@@ -1,6 +1,8 @@
 """Tests for bridge samplers, hitting formulas, and the Gibbs resampler."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from kpztails import bridges
 from kpztails.bridges import (
     BridgeSpec,
     GibbsSpec,
-    _gibbs_weights,
+    _weight_rows,
     bridge_min_tail,
     bridge_min_tail_mc,
     dominance_test,
@@ -20,8 +23,17 @@ from kpztails.bridges import (
 )
 
 
+def _gibbs_weights(spec, paths):
+    """The Gibbs weights of the rows of paths, through the kernel's row step."""
+    paths = np.array(paths, dtype=float)
+    n, width = paths.shape
+    w = np.empty(n)
+    _weight_rows(spec, paths, w, np.empty((n, width)), np.empty((n, width - 1)))
+    return w
+
+
 class TestHamiltonian:
-    """The soft-wall interaction H_T(x) = e^{T^{1/3} x} as _gibbs_weights
+    """The soft-wall interaction H_T(x) = e^{T^{1/3} x} as _weight_rows
     forms it.  On a two-point grid of length 1 a constant gap x = g - L
     integrates exactly, so the weight is W = exp(-H_T(x))."""
 
@@ -203,6 +215,8 @@ class TestBridgeMinTailMC:
     def test_validation(self):
         with pytest.raises(ValueError):
             bridge_min_tail_mc(0.0, 0.0, 1.0, -1.0, n=10)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bridge_min_tail_mc(0.0, 0.0, 1.0, 1.0, n=0)
 
 
 class TestGibbsSpec:
@@ -335,3 +349,207 @@ class TestDominance:
         assert np.all(np.diff(rep.grid) >= 0.0)
         assert np.all((rep.cdf_a >= 0.0) & (rep.cdf_a <= 1.0))
         assert np.all(np.diff(rep.cdf_a) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the path kernel.  The reference below builds each batch
+# whole, with fresh arrays, in one thread: the same draws and the same
+# arithmetic as the kernel's blocks, in the same order.  Every output of the
+# kernel must equal it bit for bit, whatever the block size.
+
+
+def _reference_sample_bridges(spec, rng, n):
+    m = spec.n_steps
+    dt = spec.length / m
+    incr = rng.standard_normal((n, m)) * math.sqrt(dt)
+    w = np.concatenate([np.zeros((n, 1)), np.cumsum(incr, axis=1)], axis=1)
+    frac = np.linspace(0.0, 1.0, m + 1)
+    paths = spec.x + w - frac * (w[:, -1:] - (spec.y - spec.x))
+    paths[:, 0] = spec.x
+    paths[:, -1] = spec.y
+    return paths
+
+
+def _reference_gibbs_weights(spec, paths):
+    grid = spec.bridge.grid
+    with np.errstate(over="ignore"):
+        h = np.exp(spec.T ** (1.0 / 3.0) * (spec.lower_curve - paths))
+        integral = np.trapezoid(h, grid, axis=1)
+        w = np.exp(-integral)
+    return w
+
+
+def _reference_segment_lower_crossing(paths, barrier, dt):
+    ga = paths[:, :-1] - barrier[:-1]
+    gb = paths[:, 1:] - barrier[1:]
+    with np.errstate(over="ignore"):
+        p_seg = np.where((ga > 0) & (gb > 0),
+                         np.exp(-2.0 * np.maximum(ga, 0) * np.maximum(gb, 0) / dt),
+                         1.0)
+    no_cross = np.prod(1.0 - p_seg, axis=1)
+    return 1.0 - no_cross
+
+
+def _reference_gibbs(spec, seed, n):
+    rng = np.random.default_rng(seed)
+    accepted, n_acc, n_prop, w_sum, w_max = [], 0, 0, 0.0, 0.0
+    while n_acc < n:
+        take = min(bridges._GIBBS_CHUNK, max(1024, 2 * (n - n_acc)))
+        paths = _reference_sample_bridges(spec.bridge, rng, take)
+        w = _reference_gibbs_weights(spec, paths)
+        keep = rng.random(take) < w
+        n_prop += take
+        n_acc += int(np.sum(keep))
+        w_sum += float(np.sum(w))
+        w_max = max(w_max, float(np.max(w)))
+        if np.any(keep):
+            accepted.append(paths[keep])
+    return (np.concatenate(accepted, axis=0)[:n], n_prop, n_acc,
+            w_sum / n_prop, w_max)
+
+
+def _reference_mc(x, y, L, s, n, seed, n_steps=64):
+    spec = BridgeSpec(a=0.0, b=L, x=x, y=y, step=L / n_steps)
+    barrier = np.full(spec.n_steps + 1, min(x, y) - s)
+    dt = L / spec.n_steps
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < n:
+        take = min(bridges._MC_CHUNK, n - done)
+        p = _reference_segment_lower_crossing(
+            _reference_sample_bridges(spec, rng, take), barrier, dt)
+        total += float(np.sum(p))
+        total_sq += float(np.sum(p * p))
+        done += take
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
+
+
+def _gibbs_fields(res):
+    return (res.paths, res.n_proposals, res.n_accepted, res.mean_weight,
+            res.max_weight)
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        else:
+            assert g == w and type(g) is type(w)
+
+
+_KERNEL_SPECS = {
+    "no_wall": GibbsSpec(BridgeSpec(a=0.0, b=1.0, x=0.3, y=-0.2, step=1 / 64),
+                         T=1.0),
+    "bench_wall": GibbsSpec(BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1 / 64),
+                            T=2.0, lower_curve=0.5),
+    "near_wall": GibbsSpec(BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.5, step=1 / 64),
+                           T=8.0, lower_curve=-0.5),
+    "coarse_long": GibbsSpec(BridgeSpec(a=-1.0, b=2.0, x=1.0, y=-0.5, step=0.3),
+                             T=4.0, lower_curve=-1.0),
+    "two_point": GibbsSpec(BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1.0),
+                           T=1.0, lower_curve=-0.5),
+}
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    @pytest.mark.parametrize("n", [1, 2 * bridges._BLOCK_ROWS + 5])
+    def test_gibbs_matches_reference(self, name, n):
+        spec = _KERNEL_SPECS[name]
+        _assert_same(_gibbs_fields(gibbs_resample(spec, seed=3, n=n)),
+                     _reference_gibbs(spec, 3, n))
+
+    @pytest.mark.parametrize("name", ["no_wall", "bench_wall"])
+    def test_gibbs_beyond_one_batch(self, name):
+        spec = _KERNEL_SPECS[name]
+        n = bridges._GIBBS_CHUNK + 7
+        _assert_same(_gibbs_fields(gibbs_resample(spec, seed=5, n=n)),
+                     _reference_gibbs(spec, 5, n))
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    @pytest.mark.parametrize("n", [1, bridges._BLOCK_ROWS + 1])
+    def test_sample_bridge_matches_reference(self, name, n):
+        bridge = _KERNEL_SPECS[name].bridge
+        want = _reference_sample_bridges(bridge, np.random.default_rng(8), n)
+        _assert_same((sample_bridge(bridge, seed=8, n=n),), (want,))
+
+    @pytest.mark.parametrize("args,n", [
+        ((0.0, 0.5, 1.0, 1.0), 1),
+        ((-0.5, 0.5, 0.5, 0.8), bridges._BLOCK_ROWS + 3),
+        ((0.3, 1.2, 3.0, 1.5), bridges._MC_CHUNK + 2 * bridges._BLOCK_ROWS + 1),
+        ((0.0, 1.0, 1.0, 0.0), 100),
+    ])
+    def test_mc_matches_reference(self, args, n):
+        _assert_same(bridge_min_tail_mc(*args, n=n, seed=11, n_steps=16),
+                     _reference_mc(*args, n=n, seed=11, n_steps=16))
+
+    @pytest.mark.parametrize("rows", [1, 3, 4096])
+    def test_block_rows_do_not_change_outputs(self, monkeypatch, rows):
+        # sqrt(dt) is not a power of two here, so scaling the increments
+        # before or after the cumsum gives different bits
+        spec = _KERNEL_SPECS["coarse_long"]
+        want_gibbs = _reference_gibbs(spec, 9, 200)
+        want_paths = _reference_sample_bridges(spec.bridge,
+                                               np.random.default_rng(9), 50)
+        want_mc = _reference_mc(0.3, 1.2, 3.0, 0.5, 5000, 9)
+        monkeypatch.setattr(bridges, "_BLOCK_ROWS", rows)
+        # switch threads often, so a block reused before the worker is done
+        # with it would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got_gibbs = _gibbs_fields(gibbs_resample(spec, seed=9, n=200))
+            got_paths = sample_bridge(spec.bridge, seed=9, n=50)
+            got_mc = bridge_min_tail_mc(0.3, 1.2, 3.0, 0.5, n=5000, seed=9)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same(got_gibbs, want_gibbs)
+        _assert_same((got_paths,), (want_paths,))
+        _assert_same(got_mc, want_mc)
+
+
+class TestKernelWorker:
+    @staticmethod
+    def _failing_on(monkeypatch, call):
+        calls = []
+        real = bridges._bridge_rows
+
+        def bridge_rows(*args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == call:
+                raise MemoryError("block failed")
+            real(*args)
+
+        monkeypatch.setattr(bridges, "_bridge_rows", bridge_rows)
+        monkeypatch.setattr(bridges, "_BLOCK_ROWS", 100)
+        return calls
+
+    @staticmethod
+    def _live_workers():
+        return [t for t in threading.enumerate() if t.name.startswith("bridges")]
+
+    @pytest.mark.parametrize("call", [2, 10])
+    def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch, call):
+        # 1,000 rows in blocks of 100: the second block fails with blocks
+        # still to draw, the tenth is the last
+        calls = self._failing_on(monkeypatch, call)
+        with pytest.raises(MemoryError, match="block failed"):
+            sample_bridge(_KERNEL_SPECS["no_wall"].bridge, seed=0, n=1000)
+        assert len(calls) == call
+        assert all(name.startswith("bridges") for name in calls)
+        assert self._live_workers() == []
+
+    def test_gibbs_and_mc_errors_propagate(self, monkeypatch):
+        self._failing_on(monkeypatch, 3)
+        with pytest.raises(MemoryError, match="block failed"):
+            gibbs_resample(_KERNEL_SPECS["bench_wall"], seed=0, n=10)
+        assert self._live_workers() == []
+        self._failing_on(monkeypatch, 1)
+        with pytest.raises(MemoryError, match="block failed"):
+            bridge_min_tail_mc(0.0, 0.5, 1.0, 1.0, n=1000, seed=0)
+        assert self._live_workers() == []
