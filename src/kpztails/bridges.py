@@ -34,7 +34,11 @@ batch's sums over paths run over one batch-sized array.  Memory is the
 output, or one batch of Gibbs proposals (up to 20,000 paths, 10 MB at 64
 steps) written in place, plus three row blocks of about 1 MB: two of
 normals and one of worker scratch.  The Monte Carlo keeps no paths beyond
-one more row block, and one batch of crossing probabilities.
+one more row block, and one batch of crossing probabilities.  The row
+steps work in place in these buffers on purpose: the whole-batch
+expressions applied block by block give the same bits, but their fresh
+1 MB temporaries cost about twenty times the page faults and make the
+Gibbs step no faster than one whole-batch pass.
 """
 
 from __future__ import annotations

@@ -198,26 +198,32 @@ class TestBundle:
             assert [int(r[0]) for r in rows] == list(range(len(rows)))
             assert all(math.isfinite(float(r[1])) for r in rows)
 
-    def test_simulate_first_moment_check(self, bundle, tiny_cfg, tmp_path):
+    def test_simulate_first_moment_check(self, bundle, wedge_z, tiny_cfg,
+                                         tmp_path):
         out, _ = bundle
         summary = json.loads((out / "simulate_summary.json").read_text())
         assert summary["checks"]["first_moment_z"] is True
         nw = summary["stats"]["narrow_wedge"]
         assert abs(nw["z_mean"] - nw["z_exact"]) <= 3.0 * nw["z_se"]
-        # the check reads the raw wedge readout, not Z rebuilt from the
-        # heights by exp(T^{1/3} h - T/12): a heavy-tailed hand-built Z whose
-        # mean and SE that round trip moves in the last bits
+        # the check reads the raw wedge readout, not Z rebuilt from heights
+        assert nw["z_mean"] == float(wedge_z.mean())
+        assert nw["z_se"] == float(wedge_z.std(ddof=1)
+                                   / math.sqrt(wedge_z.size))
+        # the bundle's 60 replicas cannot tell the two apart (the round trip
+        # exp(T^{1/3} h - T/12) leaves their mean and SE on the same doubles),
+        # so also judge a heavy-tailed hand-built Z whose mean and SE the
+        # round trip moves in the last bits
         T = tiny_cfg.T
         z = nw["z_exact"] * np.random.default_rng(0).lognormal(0.0, 3.0, 60)
         h = scale_center_height(z, T, NarrowWedge())
         rebuilt = np.exp(T ** (1.0 / 3.0) * h - T / 12.0)
         assert rebuilt.mean() != z.mean()
         assert rebuilt.std(ddof=1) != z.std(ddof=1)
-        summary = run_simulate(tiny_cfg, 0, tmp_path,
-                               samples={name: z for name in tiny_cfg.initials})
-        nw = summary["stats"]["narrow_wedge"]
-        assert nw["z_mean"] == float(z.mean())
-        assert nw["z_se"] == float(z.std(ddof=1) / math.sqrt(z.size))
+        hand = run_simulate(tiny_cfg, 0, tmp_path,
+                            samples={name: z for name in tiny_cfg.initials})
+        hand_nw = hand["stats"]["narrow_wedge"]
+        assert hand_nw["z_mean"] == float(z.mean())
+        assert hand_nw["z_se"] == float(z.std(ddof=1) / math.sqrt(z.size))
 
     def test_bounds_table_covers_every_theorem(self, bundle, tiny_cfg):
         out, _ = bundle
