@@ -7,9 +7,10 @@ reweighted against the free bridge law by the Radon-Nikodym weight
     W = exp(-int_a^b H_T(g(u) - L(u)) du),    H_T(x) = exp(T^{1/3} x),
 
 with the convention H_T(-inf) = 0, so an absent lower curve leaves the free
-bridge untouched.  Because the integrand is nonnegative, W lies in (0, 1]
-and rejection sampling against free-bridge proposals is exact (up to the
-trapezoid discretization of the integral).
+bridge untouched: gibbs_resample with no wall accepts every proposal and
+returns free bridges.  Because the integrand is nonnegative, W lies in
+(0, 1] and rejection sampling against free-bridge proposals is exact (up to
+the trapezoid discretization of the integral).
 
 A bridge from x to y over length L dips below m <= min(x, y) with
 probability exp(-2 (x-m)(y-m) / L), hence below min(x,y) - s with
@@ -19,7 +20,7 @@ grid values, each segment of a Brownian path crosses a linear barrier
 with an explicit probability, which removes the discretization bias of a
 plain grid minimum.
 
-Every sampler here runs one pipeline (_PathKernel).  The calling thread
+Both samplers here run one pipeline (_PathKernel).  The calling thread
 draws each batch's standard normals from the one default_rng stream, in
 row order, one block of _BLOCK_ROWS rows at a time, into two blocks it
 alternates between.  One worker thread turns each block, in place, into
@@ -30,15 +31,15 @@ block size, bit for bit: standard_normal fills sequentially, so blocks of
 it are the draws of one whole-batch call; every other step acts row by
 row, with the same ufuncs in the same order as a whole-batch computation;
 the row reductions (cumsum, sum, prod) read contiguous rows; and each
-batch's sums over paths run over one batch-sized array.  Memory is the
-output, or one batch of Gibbs proposals (up to 20,000 paths, 10 MB at 64
-steps) written in place, plus three row blocks of about 1 MB: two of
-normals and one of worker scratch.  The Monte Carlo keeps no paths beyond
-one more row block, and one batch of crossing probabilities.  The row
-steps work in place in these buffers on purpose: the whole-batch
-expressions applied block by block give the same bits, but their fresh
-1 MB temporaries cost about twenty times the page faults and make the
-Gibbs step no faster than one whole-batch pass.
+batch's sums over paths run over one batch-sized array.  Memory is one
+batch of Gibbs proposals (up to 20,000 paths, 10 MB at 64 steps) written
+in place, plus three row blocks of about 1 MB: two of normals and one of
+worker scratch.  The Monte Carlo keeps no paths beyond one more row block,
+and one batch of crossing probabilities.  The row steps work in place in
+these buffers on purpose: the whole-batch expressions applied block by
+block give the same bits, but their fresh 1 MB temporaries cost about
+twenty times the page faults and make the Gibbs step no faster than one
+whole-batch pass.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "GibbsSpec",
     "GibbsResult",
     "DominanceReport",
-    "sample_bridge",
     "bridge_min_tail",
     "bridge_min_tail_mc",
     "gibbs_resample",
@@ -91,6 +91,8 @@ class BridgeSpec:
             raise ValueError("need a < b")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("interval ends must be finite")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("entrance and exit values must be finite")
 
@@ -178,19 +180,6 @@ class _PathKernel:
             pending.result()
 
 
-def sample_bridge(spec: BridgeSpec, seed: int, n: int) -> np.ndarray:
-    """n bridge paths stacked row-wise, shape (n, n_steps + 1)."""
-    n = int(n)
-    paths = np.empty((n, spec.n_steps + 1))
-    with _PathKernel(spec, n) as kernel:
-        def finish(lo, hi, z):
-            _bridge_rows(spec, z, paths[lo:hi],
-                         _scratch(kernel.scratch, hi - lo, spec.n_steps + 1))
-
-        kernel.fill(np.random.default_rng(seed), n, finish)
-    return paths
-
-
 def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, float]:
     """(exact, upper) for P(inf of the bridge <= min(x, y) - s).
 
@@ -199,7 +188,7 @@ def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, floa
     """
     if not L > 0.0:
         raise ValueError("L must be positive")
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("s must be >= 0")
     m = min(x, y) - s
     exact = math.exp(-2.0 * (x - m) * (y - m) / L)
@@ -252,7 +241,7 @@ def bridge_min_tail_mc(
     paths, the exact conditional crossing probability of the level
     m = min(x,y) - s (per-segment correction; no discretization bias).
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -316,7 +305,6 @@ class GibbsResult:
     """Accepted paths with acceptance statistics."""
 
     paths: np.ndarray
-    grid: np.ndarray
     n_proposals: int
     n_accepted: int
     mean_weight: float
@@ -400,9 +388,8 @@ def gibbs_resample(
                     f"{n_acc / n_prop:.3g} after {n_prop} proposals "
                     f"(mean weight {w_sum / n_prop:.3g}, max weight {w_max:.3g})")
     paths = np.concatenate(accepted, axis=0)[:n]
-    return GibbsResult(paths=paths, grid=bridge.grid, n_proposals=n_prop,
-                       n_accepted=n_acc, mean_weight=w_sum / n_prop,
-                       max_weight=w_max)
+    return GibbsResult(paths=paths, n_proposals=n_prop, n_accepted=n_acc,
+                       mean_weight=w_sum / n_prop, max_weight=w_max)
 
 
 @dataclass(frozen=True)
@@ -441,6 +428,10 @@ def dominance_test(
     empirical CDFs on a quantile grid of the pooled samples: dominance in
     law means F_B >= F_A pointwise, and the test allows a 3-standard-error
     slack on each grid point.
+
+    The call uses two seeds: spec_a is sampled from seed and spec_b from
+    seed + 1.  Calls meant to be independent must therefore use seeds at
+    least 2 apart.
     """
     if (spec_a.bridge.a, spec_a.bridge.b, spec_a.bridge.n_steps) != (
             spec_b.bridge.a, spec_b.bridge.b, spec_b.bridge.n_steps):

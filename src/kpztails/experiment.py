@@ -201,8 +201,6 @@ PRESETS = {
         n_samples=10**4,
         s_grid=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0),
         extent=6.0,
-        gibbs_n=1000,
-        airy_n=2000,
         moments_k=(1, 2, 3),
         moments_T=(4.0, 8.0),
     ),

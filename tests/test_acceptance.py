@@ -21,7 +21,7 @@ from kpztails.airy import laplace_exact, laplace_lhs
 from kpztails.bounds import BoundQuery
 from kpztails.bridges import (BridgeSpec, GibbsSpec, bridge_min_tail,
                               bridge_min_tail_mc, dominance_test,
-                              gibbs_resample, sample_bridge)
+                              gibbs_resample)
 from kpztails.experiment import preset_config, run_all
 from kpztails.initial_data import (BrownianTwoSided, Flat, NarrowWedge,
                                    scale_center_height)
@@ -190,13 +190,13 @@ def test_c07_bridge_min_tail():
 
 
 def test_c08_gibbs_degenerate_case():
-    """With no wall the resampler reproduces the free bridge midpoint law."""
+    """With no wall the resampler draws the free bridge: its midpoint has
+    the exact law N((x + y)/2, (b - a)/4), here N(0.05, 0.5^2)."""
     bridge = BridgeSpec(a=0.0, b=1.0, x=0.3, y=-0.2, step=1.0 / 64.0)
     spec = GibbsSpec(bridge=bridge, T=1.0, lower_curve=-math.inf)
     mid = bridge.n_steps // 2
     resampled = gibbs_resample(spec, seed=21, n=10**4).paths[:, mid]
-    free = sample_bridge(bridge, seed=22, n=10**4)[:, mid]
-    assert sps.ks_2samp(resampled, free).pvalue >= 0.01
+    assert sps.kstest(resampled, "norm", args=(0.05, 0.5)).pvalue >= 0.01
 
 
 def test_c09_monotone_dominance():
@@ -210,8 +210,10 @@ def test_c09_monotone_dominance():
         (GibbsSpec(BridgeSpec(0.0, 1.0, 0.3, 0.5, step), 1.0, -0.4),
          GibbsSpec(BridgeSpec(0.0, 1.0, 0.0, 0.2, step), 1.0, -math.inf)),
     ]
+    # dominance_test draws spec_b from seed + 1, so the pairs' seeds are 2
+    # apart and no two pairs share a stream
     for i, (spec_a, spec_b) in enumerate(pairs):
-        report = dominance_test(spec_a, spec_b, n=10**5, seed=31 + i)
+        report = dominance_test(spec_a, spec_b, n=10**5, seed=31 + 2 * i)
         assert report.passed, (i, report.max_deficit, report.worst_t)
 
 

@@ -19,7 +19,6 @@ from kpztails.bridges import (
     bridge_min_tail_mc,
     dominance_test,
     gibbs_resample,
-    sample_bridge,
 )
 
 
@@ -30,6 +29,19 @@ def _gibbs_weights(spec, paths):
     w = np.empty(n)
     _weight_rows(spec, paths, w, np.empty((n, width)), np.empty((n, width - 1)))
     return w
+
+
+def _free_bridges(bridge, seed, n):
+    """n free bridge paths: gibbs_resample with no wall accepts every
+    proposal."""
+    return gibbs_resample(GibbsSpec(bridge=bridge, T=1.0), seed=seed, n=n).paths
+
+
+def _midpoint_law_pvalue(bridge, mid):
+    """One-sample KS p-value of midpoint samples against the bridge's exact
+    midpoint law N((x + y)/2, (b - a)/4)."""
+    return stats.kstest(mid, "norm", args=(0.5 * (bridge.x + bridge.y),
+                                           0.5 * math.sqrt(bridge.length))).pvalue
 
 
 class TestHamiltonian:
@@ -87,6 +99,10 @@ class TestBridgeSpec:
             BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=0.0)
         with pytest.raises(ValueError):
             BridgeSpec(a=0.0, b=1.0, x=math.inf, y=0.0)
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            BridgeSpec(a=0.0, b=math.inf, x=0.0, y=0.0)
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            BridgeSpec(a=-math.inf, b=0.0, x=0.0, y=0.0)
 
     def test_grid_endpoints(self):
         spec = BridgeSpec(a=-1.0, b=2.0, x=0.0, y=1.0, step=0.25)
@@ -106,28 +122,31 @@ class TestBridgeSpec:
 
 
 class TestSampleBridge:
+    """Free bridges, sampled by gibbs_resample with no wall, against the
+    bridge's closed forms."""
+
     def test_endpoints_exact(self):
         spec = BridgeSpec(a=0.0, b=1.0, x=0.3, y=-0.7, step=1 / 64)
-        paths = sample_bridge(spec, seed=0, n=32)
+        paths = _free_bridges(spec, seed=0, n=32)
         assert paths.shape == (32, 65)
         assert np.all(paths[:, 0] == 0.3)
         assert np.all(paths[:, -1] == -0.7)
 
     def test_single_path_shape(self):
         spec = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=0.5)
-        path = sample_bridge(spec, seed=1, n=1)
+        path = _free_bridges(spec, seed=1, n=1)
         assert path.shape == (1, 3)
 
     def test_coarse_two_point_grid(self):
         spec = BridgeSpec(a=0.0, b=1.0, x=1.0, y=2.0, step=1.0)
-        path, = sample_bridge(spec, seed=2, n=1)
+        path, = _free_bridges(spec, seed=2, n=1)
         assert path[0] == 1.0 and path[-1] == 2.0
 
     def test_midpoint_variance(self):
         # Var B(t) = t(L-t)/L = 1/4 at the midpoint of [0, 1]
         n = 10**5
         spec = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1 / 64)
-        mid = sample_bridge(spec, seed=3, n=n)[:, 32]
+        mid = _free_bridges(spec, seed=3, n=n)[:, 32]
         se_var = 0.25 * math.sqrt(2.0 / (n - 1))
         assert mid.var() == pytest.approx(0.25, abs=3 * se_var)
         assert abs(mid.mean()) <= 3 * math.sqrt(0.25 / n)
@@ -135,7 +154,7 @@ class TestSampleBridge:
     def test_mean_is_linear_interpolation(self):
         n = 10**5
         spec = BridgeSpec(a=0.0, b=1.0, x=0.0, y=1.0, step=1 / 64)
-        paths = sample_bridge(spec, seed=4, n=n)
+        paths = _free_bridges(spec, seed=4, n=n)
         quarter = paths[:, 16]
         se = math.sqrt(quarter.var() / n)
         assert quarter.mean() == pytest.approx(0.25, abs=3 * se)
@@ -144,14 +163,14 @@ class TestSampleBridge:
         # Cov(B(s), B(t)) = s(L-t)/L for s <= t
         n = 10**5
         spec = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1 / 64)
-        paths = sample_bridge(spec, seed=5, n=n)
+        paths = _free_bridges(spec, seed=5, n=n)
         cov = float(np.mean(paths[:, 16] * paths[:, 32]))
         assert cov == pytest.approx(0.25 * 0.5, abs=3e-3)
 
     def test_deterministic_given_seed(self):
         spec = BridgeSpec(a=0.0, b=1.0, x=0.0, y=0.0, step=1 / 16)
-        assert np.array_equal(sample_bridge(spec, seed=7, n=1),
-                              sample_bridge(spec, seed=7, n=1))
+        assert np.array_equal(_free_bridges(spec, seed=7, n=1),
+                              _free_bridges(spec, seed=7, n=1))
 
 
 class TestBridgeMinTail:
@@ -173,6 +192,8 @@ class TestBridgeMinTail:
     def test_validation(self):
         with pytest.raises(ValueError):
             bridge_min_tail(0.0, 0.0, 1.0, -0.5)
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            bridge_min_tail(0.0, 0.0, 1.0, math.nan)
         with pytest.raises(ValueError):
             bridge_min_tail(0.0, 0.0, 0.0, 1.0)
 
@@ -215,6 +236,10 @@ class TestBridgeMinTailMC:
     def test_validation(self):
         with pytest.raises(ValueError):
             bridge_min_tail_mc(0.0, 0.0, 1.0, -1.0, n=10)
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            bridge_min_tail_mc(0.0, 0.0, 1.0, math.nan, n=10)
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            bridge_min_tail_mc(0.0, 0.0, math.inf, 1.0, n=10)
         with pytest.raises(ValueError, match="n must be >= 1"):
             bridge_min_tail_mc(0.0, 0.0, 1.0, 1.0, n=0)
 
@@ -247,12 +272,20 @@ class TestGibbsResample:
         assert np.all(res.paths[:, -1] == 0.5)
 
     def test_no_wall_matches_free_bridge_in_law(self):
-        n = 10**4
         spec = GibbsSpec(bridge=self._bridge(), T=1.0)
         mid = spec.bridge.n_steps // 2
-        gibbs_mid = gibbs_resample(spec, seed=1, n=n).paths[:, mid]
-        free_mid = sample_bridge(self._bridge(), seed=4, n=n)[:, mid]
-        assert stats.ks_2samp(gibbs_mid, free_mid).pvalue > 0.01
+        gibbs_mid = gibbs_resample(spec, seed=1, n=10**4).paths[:, mid]
+        assert _midpoint_law_pvalue(spec.bridge, gibbs_mid) > 0.01
+
+    @pytest.mark.parametrize("scale,shift", [(1.05, 0.0), (1.0, 0.03)])
+    def test_exact_law_check_has_power(self, scale, shift):
+        # claim c08's draws, with the fluctuation about the mean 0.05
+        # scaled by 5% or the midpoints shifted by 0.03
+        bridge = BridgeSpec(a=0.0, b=1.0, x=0.3, y=-0.2, step=1 / 64)
+        mid = _free_bridges(bridge, seed=21, n=10**4)[:, bridge.n_steps // 2]
+        assert _midpoint_law_pvalue(bridge, mid) >= 0.01
+        wrong = 0.05 + scale * (mid - 0.05) + shift
+        assert _midpoint_law_pvalue(bridge, wrong) < 0.01
 
     def test_distant_wall_accepts_almost_surely(self):
         spec = GibbsSpec(bridge=self._bridge(), T=1.0, lower_curve=-20.0)
@@ -266,14 +299,14 @@ class TestGibbsResample:
         mid = spec.bridge.n_steps // 2
         res = gibbs_resample(spec, seed=3, n=n)
         wall_mid = res.paths[:, mid]
-        free_mid = sample_bridge(self._bridge(), seed=4, n=n)[:, mid]
-        se = math.sqrt(wall_mid.var() / n + free_mid.var() / n)
-        assert wall_mid.mean() - free_mid.mean() >= 3 * se
+        # the free bridge's midpoint mean is (x + y)/2 = 0.25
+        se = math.sqrt(wall_mid.var() / n)
+        assert wall_mid.mean() - 0.25 >= 3 * se
         assert 0.0 < res.acceptance_rate < 1.0
 
     def test_weights_in_unit_interval(self):
         spec = GibbsSpec(bridge=self._bridge(), T=4.0, lower_curve=-0.4)
-        paths = sample_bridge(self._bridge(), seed=6, n=256)
+        paths = _free_bridges(self._bridge(), seed=6, n=256)
         w = _gibbs_weights(spec, paths)
         assert np.all(w > 0.0) and np.all(w <= 1.0)
         assert np.all(w < 1.0)  # finite wall always costs something
@@ -471,13 +504,6 @@ class TestKernelBitIdentity:
         _assert_same(_gibbs_fields(gibbs_resample(spec, seed=5, n=n)),
                      _reference_gibbs(spec, 5, n))
 
-    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
-    @pytest.mark.parametrize("n", [1, bridges._BLOCK_ROWS + 1])
-    def test_sample_bridge_matches_reference(self, name, n):
-        bridge = _KERNEL_SPECS[name].bridge
-        want = _reference_sample_bridges(bridge, np.random.default_rng(8), n)
-        _assert_same((sample_bridge(bridge, seed=8, n=n),), (want,))
-
     @pytest.mark.parametrize("args,n", [
         ((0.0, 0.5, 1.0, 1.0), 1),
         ((-0.5, 0.5, 0.5, 0.8), bridges._BLOCK_ROWS + 3),
@@ -494,8 +520,6 @@ class TestKernelBitIdentity:
         # before or after the cumsum gives different bits
         spec = _KERNEL_SPECS["coarse_long"]
         want_gibbs = _reference_gibbs(spec, 9, 200)
-        want_paths = _reference_sample_bridges(spec.bridge,
-                                               np.random.default_rng(9), 50)
         want_mc = _reference_mc(0.3, 1.2, 3.0, 0.5, 5000, 9)
         monkeypatch.setattr(bridges, "_BLOCK_ROWS", rows)
         # switch threads often, so a block reused before the worker is done
@@ -504,12 +528,10 @@ class TestKernelBitIdentity:
         sys.setswitchinterval(1e-6)
         try:
             got_gibbs = _gibbs_fields(gibbs_resample(spec, seed=9, n=200))
-            got_paths = sample_bridge(spec.bridge, seed=9, n=50)
             got_mc = bridge_min_tail_mc(0.3, 1.2, 3.0, 0.5, n=5000, seed=9)
         finally:
             sys.setswitchinterval(interval)
         _assert_same(got_gibbs, want_gibbs)
-        _assert_same((got_paths,), (want_paths,))
         _assert_same(got_mc, want_mc)
 
 
@@ -526,7 +548,7 @@ class TestKernelWorker:
             real(*args)
 
         monkeypatch.setattr(bridges, "_bridge_rows", bridge_rows)
-        monkeypatch.setattr(bridges, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(bridges, "_BLOCK_ROWS", 103)
         return calls
 
     @staticmethod
@@ -535,11 +557,12 @@ class TestKernelWorker:
 
     @pytest.mark.parametrize("call", [2, 10])
     def test_worker_error_propagates_and_pool_shuts_down(self, monkeypatch, call):
-        # 1,000 rows in blocks of 100: the second block fails with blocks
-        # still to draw, the tenth is the last
+        # a no-wall Gibbs call of 500 paths draws one batch of 1,024
+        # proposals, in blocks of 103: the second block fails with blocks
+        # still to draw, the tenth (97 rows) is the last
         calls = self._failing_on(monkeypatch, call)
         with pytest.raises(MemoryError, match="block failed"):
-            sample_bridge(_KERNEL_SPECS["no_wall"].bridge, seed=0, n=1000)
+            gibbs_resample(_KERNEL_SPECS["no_wall"], seed=0, n=500)
         assert len(calls) == call
         assert all(name.startswith("bridges") for name in calls)
         assert self._live_workers() == []
