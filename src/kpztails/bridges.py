@@ -190,6 +190,8 @@ def bridge_min_tail(x: float, y: float, L: float, s: float) -> tuple[float, floa
         raise ValueError("L must be positive")
     if not s >= 0.0:
         raise ValueError("s must be >= 0")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("entrance and exit values must be finite")
     m = min(x, y) - s
     exact = math.exp(-2.0 * (x - m) * (y - m) / L)
     upper = math.exp(-2.0 * s * s / L)
@@ -245,6 +247,8 @@ def bridge_min_tail_mc(
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     spec = BridgeSpec(a=0.0, b=L, x=x, y=y, step=L / n_steps)
     level = min(x, y) - s
     m = spec.n_steps

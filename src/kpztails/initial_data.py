@@ -19,12 +19,10 @@ scale_center_height chooses the form by the type of the initial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
-
-TWO_THIRD_POW = 2.0 ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -129,91 +127,6 @@ class GeneralScaled:
 
 
 InitialData = Union[NarrowWedge, Flat, BrownianTwoSided, GeneralScaled]
-
-
-@dataclass(frozen=True)
-class HypReport:
-    parabola_ok: bool
-    floor_ok: bool
-    witness: Optional[tuple]
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.parabola_ok and self.floor_ok
-
-
-def validate_hyp(profile: Profile, hyp: HypParams) -> HypReport:
-    """Check the parabolic bound and the floor condition for a profile.
-
-    The parabolic bound f(y) <= C + nu*y^2/2^(2/3) is checked at grid nodes
-    and segment midpoints.  The floor condition searches [-M, M] for a
-    subinterval of length theta with f >= -kappa; piecewise linearity makes
-    the feasible set a finite union of intervals, computed exactly.  The
-    returned witness is the centered length-theta subinterval of the first
-    feasible run that is long enough.
-    """
-    if profile.y[0] > -hyp.M or profile.y[-1] < hyp.M:
-        raise ValueError(
-            f"profile grid [{profile.y[0]}, {profile.y[-1]}] does not cover "
-            f"[-M, M] = [{-hyp.M}, {hyp.M}]"
-        )
-
-    mids = 0.5 * (profile.y[:-1] + profile.y[1:])
-    pts = np.concatenate([profile.y, mids])
-    vals = np.concatenate([profile.f, profile(mids)])
-    cap = hyp.C + hyp.nu * pts**2 / TWO_THIRD_POW
-    bad = vals > cap
-    parabola_ok = not np.any(bad)
-    worst = None
-    if not parabola_ok:
-        i = int(np.argmax(vals - cap))
-        worst = (float(pts[i]), float(vals[i]), float(cap[i]))
-
-    runs = _floor_runs(profile, -hyp.kappa, -hyp.M, hyp.M)
-    witness = None
-    for lo, hi in runs:
-        if hi - lo >= hyp.theta:
-            mid = 0.5 * (lo + hi)
-            witness = (mid - hyp.theta / 2.0, mid + hyp.theta / 2.0)
-            break
-    floor_ok = witness is not None
-    return HypReport(
-        parabola_ok=parabola_ok,
-        floor_ok=floor_ok,
-        witness=witness,
-        detail={"parabola_worst": worst, "floor_runs": runs},
-    )
-
-
-def _floor_runs(profile: Profile, level: float, lo: float, hi: float) -> list:
-    """Maximal subintervals of [lo, hi] on which the profile is >= level."""
-    grid = np.unique(np.concatenate([[lo, hi], profile.y[(profile.y > lo) & (profile.y < hi)]]))
-    runs = []
-    cur = None
-    for a, b in zip(grid[:-1], grid[1:]):
-        fa, fb = float(profile(a)), float(profile(b))
-        segs = []
-        if fa >= level and fb >= level:
-            segs.append((a, b))
-        elif fa >= level or fb >= level:
-            if np.isfinite(fa) and np.isfinite(fb):
-                t = (level - fa) / (fb - fa)
-                c = a + t * (b - a)
-                segs.append((a, c) if fa >= level else (c, b))
-            else:
-                # one endpoint is -inf: f >= level only at the finite node
-                pass
-        for s in segs:
-            if cur is not None and abs(s[0] - cur[1]) < 1e-12:
-                cur = (cur[0], s[1])
-            else:
-                if cur is not None:
-                    runs.append(cur)
-                cur = s
-    if cur is not None:
-        runs.append(cur)
-    return runs
 
 
 def make_unscaled_initial(data: InitialData, T: float,

@@ -197,6 +197,17 @@ class TestBridgeMinTail:
         with pytest.raises(ValueError):
             bridge_min_tail(0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("x,y", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
+    ])
+    def test_nonfinite_endpoint_rejected(self, x, y):
+        msg = "entrance and exit values must be finite"
+        with pytest.raises(ValueError, match=msg):
+            bridge_min_tail(x, y, 1.0, 1.0)
+        with pytest.raises(ValueError, match=msg):
+            bridge_min_tail_mc(x, y, 1.0, 1.0, n=10)
+
     @given(
         x=st.floats(-3.0, 3.0),
         y=st.floats(-3.0, 3.0),
@@ -242,6 +253,11 @@ class TestBridgeMinTailMC:
             bridge_min_tail_mc(0.0, 0.0, math.inf, 1.0, n=10)
         with pytest.raises(ValueError, match="n must be >= 1"):
             bridge_min_tail_mc(0.0, 0.0, 1.0, 1.0, n=0)
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_nonpositive_n_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            bridge_min_tail_mc(0.0, 0.0, 1.0, 1.0, n=10, n_steps=n_steps)
 
 
 class TestGibbsSpec:

@@ -13,7 +13,6 @@ from kpztails.initial_data import (
     Profile,
     make_unscaled_initial,
     scale_center_height,
-    validate_hyp,
 )
 
 
@@ -41,63 +40,6 @@ class TestHypParams:
         base.update(kw)
         with pytest.raises(ValueError):
             HypParams(**base)
-
-
-class TestValidateHyp:
-    def test_flat_passes_with_centered_witness(self):
-        hyp = HypParams(C=1.0, nu=0.5, theta=1.0, kappa=1.0, M=1.0)
-        rep = validate_hyp(flat_profile(), hyp)
-        assert rep.ok
-        assert rep.witness == pytest.approx((-0.5, 0.5))
-
-    def test_everywhere_below_floor_fails_condition_two(self):
-        hyp = HypParams(C=1.0, nu=0.5, theta=1.0, kappa=1.0, M=1.0)
-        y = np.linspace(-2, 2, 41)
-        rep = validate_hyp(Profile(y, np.full(41, -2.0 * hyp.kappa)), hyp)
-        assert rep.parabola_ok and not rep.floor_ok
-        assert rep.witness is None
-
-    def test_parabola_violation_detected_at_grid_edge(self):
-        # f(y)=y^2 vs cap 0 + 0.5*y^2/2^(2/3): at y=4, 16 > 5.04
-        hyp = HypParams(C=0.0, nu=0.5, theta=1.0, kappa=1.0, M=1.0)
-        y = np.linspace(-4, 4, 81)
-        rep = validate_hyp(Profile(y, y**2), hyp)
-        assert not rep.parabola_ok
-        yw, fw, capw = rep.detail["parabola_worst"]
-        assert abs(yw) == pytest.approx(4.0)
-        assert fw == pytest.approx(16.0)
-        assert capw == pytest.approx(0.5 * 16.0 / 2 ** (2 / 3))
-
-    def test_grid_not_covering_interval_is_domain_error(self):
-        hyp = HypParams(C=1.0, nu=0.5, theta=1.0, kappa=1.0, M=3.0)
-        with pytest.raises(ValueError, match="does not cover"):
-            validate_hyp(flat_profile(extent=2.0), hyp)
-
-    def test_witness_respects_partial_floor(self):
-        # f = 0 on [0, 1], well below -kappa on [-1, 0)
-        y = np.array([-1.0, -1e-9, 0.0, 1.0])
-        f = np.array([-5.0, -5.0, 0.0, 0.0])
-        hyp = HypParams(C=1.0, nu=0.5, theta=0.5, kappa=1.0, M=1.0)
-        rep = validate_hyp(Profile(y, f), hyp)
-        assert rep.floor_ok
-        lo, hi = rep.witness
-        assert hi - lo == pytest.approx(0.5)
-        assert lo >= -1e-6 and hi <= 1.0 + 1e-12
-
-    @given(
-        C=st.floats(-2, 5),
-        nu=st.floats(0.05, 0.95),
-        theta=st.floats(0.1, 1.9),
-        kappa=st.floats(0.1, 4.0),
-    )
-    def test_flat_profile_valid_for_every_admissible_hyp(self, C, nu, theta, kappa):
-        # flat data must always be admissible when C >= 0
-        hyp = HypParams(C=max(C, 0.0), nu=nu, theta=theta, kappa=kappa, M=1.0)
-        rep = validate_hyp(flat_profile(extent=2.0), hyp)
-        assert rep.ok
-        lo, hi = rep.witness
-        assert hi - lo == pytest.approx(theta)
-        assert lo >= -1.0 - 1e-12 and hi <= 1.0 + 1e-12
 
 
 class TestProfileEvaluation:

@@ -36,7 +36,6 @@ SRC = ROOT / "src" / "kpztails"
 
 # unreached definitions and the ROADMAP directions that wire each of them
 PENDING = {
-    "validate_hyp": "direction 18",
     "boundary_bias_bound": "directions 15 and 2",
 }
 
