@@ -2,10 +2,17 @@
 
 The field obeys dZ = (1/2) Z'' dt + Z dW per site.  Each step applies an
 explicit heat update Z <- Z + lam (Z_{i+1} - 2 Z_i + Z_{i-1}) with
-lam = dt/(2 dx^2), then a per-site exponential noise factor
-exp(sigma g - sigma^2/2) with sigma^2 = dt/dx and g standard normal.  The
-update keeps Z strictly positive (required for the log transform), the
-noise factor has mean exactly 1, and the heat step is linear, so the
+lam = dt/(2 dx^2), then an independent noise factor m per site.  m takes
+one of two positive values, with probabilities chosen so that its first
+three moments are those of exp(sigma g - sigma^2/2), sigma^2 = dt/dx and
+g standard normal: E m = 1, E m^2 = e^{sigma^2} and E m^3 = e^{3 sigma^2}
+(_two_point_law states the law and its float32 residuals).  Lattice
+moments E Z^k for k <= 3 read the noise only through E m^j for j <= k, so
+they are those of the log-normal factor; the continuum limit is the same
+SHE, since a directed polymer's intermediate-disorder limit reads its
+weights only through their mean and variance (Alberts, Khanin and
+Quastel, Ann. Probab. 42 (2014)).  The update keeps Z strictly positive
+(required for the log transform) and the heat step is linear, so the
 expectation of Z solves the discrete heat equation exactly: first-moment
 readouts are unbiased up to spatial discretization and the Dirichlet
 truncation of the line.
@@ -32,9 +39,9 @@ index), and every noise and stencil operation acts row by row, so every
 ensemble readout is a pure function of (seed, replica count) whatever the
 chunking and whatever the number of worker threads.  The ensemble solver
 splits each chunk of replicas into one contiguous row block per usable
-core and evolves the blocks in threads; numpy's ufuncs and uniform fills
+core and evolves the blocks in threads; numpy's ufuncs and raw draws
 release the interpreter lock, so the blocks run in parallel.  Memory is one
-chunk's noise window, written in place, plus one uniform scratch per block.
+chunk's noise window, written in place.
 """
 
 from __future__ import annotations
@@ -168,50 +175,73 @@ def _heat_step(Z: np.ndarray, out: np.ndarray, dt: float, dx: float) -> None:
 
 # Noise is drawn in fixed windows of this many steps so that replica
 # streams are independent of chunking: replica r always consumes its
-# uniforms in the same order for a given (steps, n_sites).
+# draws in the same order for a given (steps, n_sites).
 _WINDOW = 256
 
-# Replicas per block of the noise transform, few enough that a block's
-# uniforms and their transforms stay in cache.
+# Replicas per block of the noise select, few enough that a block's rows
+# stay in cache between the compare and the select.
 _NOISE_ROWS = 8
 
+# One noise draw: a little-endian 16-bit lane of a raw 64-bit PCG64 word.
+_LANE = np.dtype("<u2")
 
-def _window_multipliers(gens, w: int, n_sites: int, sigma, out, u):
-    """exp(sigma g - sigma^2/2) for w steps: out's view (len(gens), w, n_sites).
 
-    Normals come from Box-Muller on per-replica uniform streams drawn into
-    the scratch u; out and u need w * n_sites columns rounded up to even.
-    The transcendental math runs on _NOISE_ROWS replicas at a time, so the
-    uniforms and their transforms stay in cache, and writes straight into
-    their rows of out; every operation is elementwise, so the blocking
-    leaves the bits unchanged.  The f32 pairing truncates |g| around 5.8
-    sigma, which perturbs the multiplier mean by under 1e-8 relative.
+def _two_point_law(sigma2: float, dtype) -> tuple:
+    """(threshold, lo, hi) of the two-point multiplier at variance sigma2.
+
+    m = hi with probability p = threshold / 2^16 and lo otherwise, with p
+    the root below 1/2 of the skewness equation that gives E m = 1,
+    E m^2 = e^{sigma2} and E m^3 = e^{3 sigma2}, the first three moments
+    of exp(sigma g - sigma2/2).  p is quantised to the 16-bit draw first,
+    and lo and hi solve the first two moments at the quantised p, then
+    round to dtype.  In exact rationals from the float32 values,
+    |E m - 1| <= 1.3e-8 and E m^2 is within 2.6e-8 relative at dx 0.05,
+    0.1 and 0.2 (sigma2 = dt/dx at dt = dx^2/2); E m^3 is within 8e-8
+    relative at dx 0.05 and 6.4e-7 at dx 0.2.  lo stays above 0.74 for
+    sigma2 <= 2, so the field stays positive; from sigma2 = 4 on, p rounds
+    to 0 and the law is rejected.
     """
-    dtype = out.dtype
+    a = math.exp(sigma2)
+    skew = math.sqrt(a - 1.0) * (a + 2.0)
+    p = 0.5 * (1.0 - skew / math.sqrt(4.0 + skew * skew))
+    threshold = round(p * 2.0 ** (8 * _LANE.itemsize))
+    p = threshold / 2.0 ** (8 * _LANE.itemsize)
+    if threshold == 0 or (a - 1.0) * p >= 1.0 - p:  # p = 0 or lo <= 0
+        raise ValueError(f"noise variance dt/dx = {sigma2:g} is too large "
+                         f"for a two-point multiplier on 16-bit draws")
+    lo = 1.0 - math.sqrt((a - 1.0) * p / (1.0 - p))
+    hi = 1.0 + math.sqrt((a - 1.0) * (1.0 - p) / p)
+    return threshold, dtype.type(lo), dtype.type(hi)
+
+
+def _window_multipliers(gens, w: int, n_sites: int, sigma2: float, out):
+    """Two-point multipliers for w steps: out's view (len(gens), w, n_sites).
+
+    Replica r's multipliers are hi where a 16-bit draw is below
+    _two_point_law's threshold and lo elsewhere; its draws are the four
+    16-bit lanes of each raw word of its own PCG64, low lanes first, a
+    fresh word per window.  Each replica's compare writes 0 or 1 into its
+    row of out, read as unsigned integers of the field's width, and then
+    _NOISE_ROWS rows at a time turn in place into lo's or hi's bit
+    pattern; every operation is elementwise, so the blocking leaves the
+    bits unchanged.
+    """
+    threshold, lo, hi = _two_point_law(sigma2, out.dtype)
     count = w * n_sites
-    even = count + (count & 1)
-    half = even // 2
+    words = -(-count // (8 // _LANE.itemsize))
+    bits = out.view(f"u{out.dtype.itemsize}")
+    lo_bits = lo.view(bits.dtype)
+    flip = hi.view(bits.dtype) ^ lo_bits
     n = len(gens)
-    for lo in range(0, n, _NOISE_ROWS):
-        hi = min(n, lo + _NOISE_ROWS)
-        ub = u[:hi - lo, :even]
-        for i in range(lo, hi):
-            gens[i].random(out=ub[i - lo], dtype=dtype)
-        u1 = ub[:, :half]
-        u2 = ub[:, half:]
-        np.subtract(dtype.type(1.0), u1, out=u1)  # (0, 1]: log never sees 0
-        np.log(u1, out=u1)
-        u1 *= dtype.type(-2.0)
-        np.sqrt(u1, out=u1)  # r = sqrt(-2 log(1-u))
-        u2 *= dtype.type(2.0 * math.pi)
-        zb = out[lo:hi, :even]
-        np.cos(u2, out=zb[:, :half])
-        np.sin(u2, out=zb[:, half:])
-        zb[:, :half] *= u1
-        zb[:, half:] *= u1
-        zb *= sigma
-        zb -= dtype.type(0.5) * sigma * sigma
-        np.exp(zb, out=zb)
+    for start in range(0, n, _NOISE_ROWS):
+        stop = min(n, start + _NOISE_ROWS)
+        for i in range(start, stop):
+            raw = gens[i].bit_generator.random_raw(words)
+            draws = raw.astype("<u8", copy=False).view(_LANE)
+            np.less(draws[:count], threshold, out=bits[i, :count])
+        block = bits[start:stop, :count]
+        block *= flip
+        block ^= lo_bits
     return out[:, :count].reshape(n, w, n_sites)
 
 
@@ -225,18 +255,16 @@ def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
 
     Z holds one row per generator and is consumed as scratch.  A yielded
     array is overwritten two steps later, so callers copy what they keep.
-    Every window's noise goes into one buffer sized by the first, the largest.
+    Every window's noise goes into one buffer sized by the first, the
+    largest, which is all the noise memory but one replica's raw draws:
+    the multipliers are written in place.
     """
-    dtype = Z.dtype
-    sigma = dtype.type(math.sqrt(dt / dx))
     buf = np.empty_like(Z)
     n, n_sites = Z.shape
-    count = min(_WINDOW, steps) * n_sites
-    noise = np.empty((n, count + (count & 1)), dtype=dtype)
-    u = np.empty((min(n, _NOISE_ROWS), noise.shape[1]), dtype=dtype)
+    noise = np.empty((n, min(_WINDOW, steps) * n_sites), dtype=Z.dtype)
     for start in range(0, steps, _WINDOW):
         w = min(_WINDOW, steps - start)
-        mult = _window_multipliers(gens, w, n_sites, sigma, noise, u)
+        mult = _window_multipliers(gens, w, n_sites, dt / dx, noise)
         for j in range(w):
             _heat_step(Z, buf, dt, dx)
             Z, buf = buf, Z
@@ -352,9 +380,9 @@ def solve_she_ensemble(
     run_row_blocks splits each chunk into W = min(usable_cores(), rows)
     contiguous row blocks that are evolved in parallel threads, and the
     next chunk starts when all of them are done.  Memory is one chunk's
-    noise window, written in place into one buffer per block, plus W
-    Box-Muller scratch blocks of _NOISE_ROWS replicas' uniforms (about
-    2 MB each in float32 on a 241-site lattice), plus the float64 readout.
+    noise window, written in place into one buffer per block, plus one
+    replica's raw draws per block (2 bytes per multiplier), plus the
+    float64 readout.
     """
     steps, dt = _time_steps(T, cfg)
     if n_replicas < 1:

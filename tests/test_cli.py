@@ -30,8 +30,11 @@ class TestMain:
         assert (tmp_path / "moments.csv").exists()
 
     def test_config_overrides_applied(self, tmp_path, tiny_json, capsys):
+        # simulate's 3-SE first-moment check on 60 skewed replicas fails by
+        # chance at about 4% of seeds (11 of seeds 0-299, among them 3); 4
+        # is not one of them
         rc = cli.main(["simulate", "--config", str(tiny_json),
-                       "--out-dir", str(tmp_path), "--seed", "3"])
+                       "--out-dir", str(tmp_path), "--seed", "4"])
         assert rc == 0
         samples = (tmp_path / "samples_flat.csv").read_text().splitlines()
         assert len(samples) == 1 + TINY["n_samples"]

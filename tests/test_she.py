@@ -11,6 +11,8 @@ negligible and documented where they are not.
 import math
 import os
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ def final_field(initial, T, cfg, seed=0):
 @pytest.fixture
 def zero_noise(monkeypatch):
     """Every noise multiplier exactly 1.0: the solver runs the heat flow."""
-    def ones(gens, w, n_sites, sigma, out, u):
+    def ones(gens, w, n_sites, sigma2, out):
         return np.ones((len(gens), w, n_sites), dtype=out.dtype)
 
     monkeypatch.setattr(she, "_window_multipliers", ones)
@@ -195,6 +197,140 @@ class TestNoiseMoments:
         assert np.min(final_field(NarrowWedge(), 0.5, cfg, seed=9)) > 0.0
 
 
+def law_moments(p, lo, hi):
+    """E m, E m^2 and E m^3 of the two-point law, in exact rationals."""
+    p, lo, hi = Fraction(p), Fraction(float(lo)), Fraction(float(hi))
+    return [p * hi**k + (1 - p) * lo**k for k in (1, 2, 3)]
+
+
+def matches_lognormal(p, lo, hi, sigma2):
+    """Whether the law's first three moments are those of
+    exp(sigma g - sigma^2/2), e^{sigma^2 k(k-1)/2}, within 2e-8 for the
+    mean, 5e-8 relative for E m^2 and 1e-6 relative for E m^3."""
+    tolerances = (2e-8, 5e-8, 1e-6)
+    return all(
+        abs(float(m / Fraction(math.exp(sigma2 * k * (k - 1) / 2))) - 1.0)
+        <= tol
+        for k, m, tol in zip((1, 2, 3), law_moments(p, lo, hi), tolerances))
+
+
+class TestTwoPointLaw:
+    # sigma^2 = dt/dx at dt = dx^2/2 on the dx 0.05, 0.1 and 0.2 lattices
+    SIGMA2 = (0.025, 0.05, 0.1)
+
+    @pytest.mark.parametrize("sigma2", SIGMA2)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_moments_match_lognormal(self, sigma2, dtype):
+        threshold, lo, hi = she._two_point_law(sigma2, np.dtype(dtype))
+        assert lo.dtype == hi.dtype == dtype
+        assert 0.0 < lo < 1.0 < hi
+        assert matches_lognormal(Fraction(threshold, 2**16), lo, hi, sigma2)
+
+    @pytest.mark.parametrize("sigma2", SIGMA2)
+    def test_two_moment_fit_fails(self, sigma2):
+        # p = 1/2 with lo, hi = 1 -+ sqrt(e^{sigma^2} - 1) has the right
+        # mean and E m^2 but no skew, so E m^3 is off by about 3 sigma^4
+        root = math.sqrt(math.expm1(sigma2))
+        lo, hi = np.float32(1.0 - root), np.float32(1.0 + root)
+        assert not matches_lognormal(Fraction(1, 2), lo, hi, sigma2)
+
+    def test_frozen_law_at_dx_005(self):
+        threshold, lo, hi = she._two_point_law(0.025, np.dtype(np.float32))
+        assert threshold == 25101  # p = 0.38300
+        assert lo == pytest.approx(0.87464, abs=5e-6)
+        assert hi == pytest.approx(1.20194, abs=5e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hi_strictly_below_threshold(self, dtype):
+        # one replica whose raw words hold the lanes t - 1, t, t + 1, 65535
+        # and 0, 65535, 65535, 65535, low lanes first; seven multipliers
+        # read all of the first word and three lanes of the second
+        threshold, lo, hi = she._two_point_law(0.05, np.dtype(dtype))
+        lanes = np.array([threshold - 1, threshold, threshold + 1, 65535,
+                          0, 65535, 65535, 65535], dtype=np.uint64)
+        words = (lanes.reshape(2, 4) << np.array([0, 16, 32, 48],
+                                                 dtype=np.uint64)).sum(1)
+        raw = SimpleNamespace(random_raw=lambda n: words[:n].copy())
+        gen = SimpleNamespace(bit_generator=raw)
+        out = np.full((1, 8), np.nan, dtype=dtype)
+        mult = she._window_multipliers([gen], 1, 7, 0.05, out)
+        assert mult.dtype == dtype
+        assert mult.reshape(-1).tolist() == [hi, lo, lo, lo, hi, lo, lo]
+
+    def test_positive_for_moderate_noise(self):
+        # lo is smallest, 0.74999, near sigma^2 = 0.407
+        for sigma2 in (1e-4, 0.407, 1.0, 2.0, 3.9):
+            _, lo, _ = she._two_point_law(sigma2, np.dtype(np.float32))
+            assert lo > 0.74
+
+    def test_too_large_noise_rejected(self):
+        # p rounds to zero on 16-bit draws
+        with pytest.raises(ValueError, match="too large"):
+            she._two_point_law(4.0, np.dtype(np.float32))
+
+
+def exact_second_moment(cfg, T, sigma2=None):
+    """E Z^nw(2T, 0)^2 on the lattice by M <- (H M H^T) o (1 + (e^s - 1) I)
+    from M = Z_0 Z_0^T, the Dirichlet truncation included, with s the
+    noise variance sigma^2, dt/dx unless given.  The rule reads the noise
+    only through E m_x m_y, which is 1 off the diagonal and E m^2 = e^s on
+    it."""
+    steps, dt = she._time_steps(T, cfg)
+    sigma2 = dt / cfg.dx if sigma2 is None else sigma2
+    n = cfg.n_sites
+    lam = dt / (2.0 * cfg.dx**2)
+    H = ((1.0 - 2.0 * lam) * np.eye(n) + lam * np.eye(n, k=1)
+         + lam * np.eye(n, k=-1))
+    factor = 1.0 + math.expm1(sigma2) * np.eye(n)
+    z0 = np.zeros(n)
+    z0[n // 2] = 1.0 / cfg.dx
+    M = np.outer(z0, z0)
+    for _ in range(steps):
+        M = (H @ M @ H.T) * factor
+    return M[n // 2, n // 2]
+
+
+class TestSecondMomentOracle:
+    CFG = SolverConfig(dx=0.2, dt=0.02, extent=4.0)
+
+    def deviation(self, T, n, seed=0):
+        """(mean of Z^nw(2T, 0)^2 - exact) / SE over n replicas."""
+        res = solve_she_ensemble(NarrowWedge(), T=T, cfg=self.CFG, seed=seed,
+                                 n_replicas=n)
+        z2 = res.Z[:, 0, 0] ** 2
+        se = z2.std(ddof=1) / math.sqrt(z2.size)
+        return (z2.mean() - exact_second_moment(self.CFG, T)) / se
+
+    def test_oracle_is_the_heat_kernel_without_noise(self):
+        # with sigma^2 = 0 the rule is the squared heat flow
+        steps, dt = she._time_steps(1.0, self.CFG)
+        field = np.zeros(self.CFG.n_sites)
+        field[self.CFG.n_sites // 2] = 1.0 / self.CFG.dx
+        for _ in range(steps):
+            out = np.empty_like(field)
+            she._heat_step(field, out, dt, self.CFG.dx)
+            field = out
+        exact = exact_second_moment(self.CFG, 1.0, sigma2=0.0)
+        assert exact == pytest.approx(field[self.CFG.n_sites // 2] ** 2,
+                                      rel=1e-12)
+
+    # Z(2, 0)^2 is heavy-tailed (its std is about 10 times its mean), so at
+    # T = 1 the check has little power: with sigma^2 10% high it read -0.01
+    # to 1.1 SE at 2e4 replicas and 2.0 to 5.0 SE at 4e5 (seeds 0-2).  At
+    # T = 0.2 the std is about 3 means, and the same patch reads 4.7 to 6.8
+    # SE at 1e5 replicas (seeds 0-4), where the unpatched law reads -0.8 to
+    # 1.6.
+    @pytest.mark.parametrize("T, n", [(1.0, 20000), (0.2, 100000)])
+    def test_ensemble_matches_exact_second_moment(self, T, n):
+        assert abs(self.deviation(T, n)) <= 3.0
+
+    def test_fails_with_noise_variance_ten_percent_high(self, monkeypatch):
+        real = she._two_point_law
+        monkeypatch.setattr(she, "_two_point_law",
+                            lambda sigma2, dtype: real(1.1 * sigma2, dtype))
+        assert abs(self.deviation(0.2, 100000)) > 3.0
+
+
 class TestEnsemble:
     CFG = SolverConfig(dx=0.1, dt=2e-3, extent=2.0)
 
@@ -215,17 +351,19 @@ class TestEnsemble:
         assert np.array_equal(a.Z, b.Z)
 
     @pytest.mark.parametrize("n, T", [
-        # 293 steps: a full window, then a partial one of odd count 37 * 21
+        # 293 steps: a full window, then a partial one of 37 * 21 draws,
+        # which use one lane of the last raw word
         (11, 0.293),
-        # 255 steps: one window of odd count, fewer rows than a noise block
+        # 255 steps: one window of 255 * 21 draws, three lanes of the last
+        # word used, and fewer rows than a noise block
         (5, 0.255),
     ])
-    def test_window_layout_matches_per_replica_box_muller(self, monkeypatch,
-                                                          n, T):
-        # each window is replica-major, and each replica's row is a plain
-        # Box-Muller transform of its own fresh stream in the same order of
-        # operations, whatever the noise block, the reused buffer and the
-        # odd uniform count do
+    def test_window_layout_matches_per_replica_two_point_draws(
+            self, monkeypatch, n, T):
+        # each window is replica-major, and each replica's row is hi where
+        # a 16-bit lane of its own fresh raw words, low lanes first, is
+        # below the threshold and lo elsewhere, whatever the noise block,
+        # the reused buffer and the unused lanes do
         cfg = SolverConfig(dx=0.1, dt=2e-3, extent=1.0)
         windows = []
         real = she._window_multipliers
@@ -244,18 +382,16 @@ class TestEnsemble:
         assert [m.shape for _, m in windows] == [
             (n, w, cfg.n_sites) for w in sizes]
         assert all(np.shares_memory(v, windows[0][0]) for v, _ in windows)
-        f32 = np.float32
-        sigma = f32(math.sqrt(cfg.dt / cfg.dx))
+        threshold, lo, hi = she._two_point_law(cfg.dt / cfg.dx,
+                                               np.dtype(np.float32))
+        shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
         for r, gen in enumerate(she._replica_generators(6, 0, n)):
             for w, (_, got) in zip(sizes, windows):
                 count = w * cfg.n_sites
-                half = (count + count % 2) // 2
-                u = gen.random(2 * half, dtype=np.float32)
-                radius = np.sqrt(np.log(f32(1.0) - u[:half]) * f32(-2.0))
-                angle = u[half:] * f32(2.0 * math.pi)
-                g = np.concatenate((np.cos(angle) * radius,
-                                    np.sin(angle) * radius))
-                mult = np.exp(g * sigma - f32(0.5) * sigma * sigma)
+                raw = gen.bit_generator.random_raw(-(-count // 4))
+                lanes = ((raw[:, None] >> shifts) & np.uint64(0xFFFF))
+                mult = np.where(lanes.reshape(-1) < threshold, hi, lo)
+                assert mult.dtype == np.float32
                 assert np.array_equal(got[r].reshape(-1), mult[:count])
 
     def test_noise_memory_is_one_window(self, monkeypatch):
@@ -276,7 +412,7 @@ class TestEnsemble:
         assert peak <= 1.5 * window
 
     def test_noise_blocking_does_not_change_results(self, monkeypatch):
-        # 255 steps make the window's uniform count odd
+        # 255 steps leave one lane of a window's last raw word unused
         cfg = SolverConfig(dx=0.1, dt=2e-3, extent=1.0)
         a = solve_she_ensemble(Flat(), T=0.255, cfg=cfg, seed=3, n_replicas=10)
         monkeypatch.setattr(she, "_NOISE_ROWS", 3)
@@ -532,7 +668,7 @@ class TestBoundaryBias:
 
 def fixed_noise(monkeypatch, mult):
     """Every replica draws the (steps, n_sites) multipliers mult."""
-    def fixed(gens, w, n_sites, sigma, out, u):
+    def fixed(gens, w, n_sites, sigma2, out):
         return np.broadcast_to(mult, (len(gens), w, n_sites))
 
     monkeypatch.setattr(she, "_window_multipliers", fixed)
