@@ -204,8 +204,9 @@ def _two_point_law(sigma2: float, dtype) -> tuple:
     a = math.exp(sigma2)
     skew = math.sqrt(a - 1.0) * (a + 2.0)
     p = 0.5 * (1.0 - skew / math.sqrt(4.0 + skew * skew))
-    threshold = round(p * 2.0 ** (8 * _LANE.itemsize))
-    p = threshold / 2.0 ** (8 * _LANE.itemsize)
+    levels = 2.0 ** (8 * _LANE.itemsize)
+    threshold = round(p * levels)
+    p = threshold / levels
     if threshold == 0 or (a - 1.0) * p >= 1.0 - p:  # p = 0 or lo <= 0
         raise ValueError(f"noise variance dt/dx = {sigma2:g} is too large "
                          f"for a two-point multiplier on 16-bit draws")
