@@ -123,11 +123,11 @@ def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarra
     """n_samples independent draws stacked as an (n_samples, K) array.
 
     Row i holds the top-K edge-scaled eigenvalues a_1 > ... > a_K of one
-    N by N draw seeded with SeedSequence((seed, i)), so results are a pure
-    function of (seed, n_samples) prefix-stable in n_samples.  The rows
-    are split into min(she.usable_cores(), n_samples) contiguous blocks
-    drawn in parallel threads (she.run_row_blocks), each writing only its
-    own rows, so the worker count cannot change them.
+    N by N draw from row i's she._replica_generators stream, so results
+    are a pure function of (seed, n_samples) prefix-stable in n_samples.
+    The rows are split into min(she.usable_cores(), n_samples) contiguous
+    blocks drawn in parallel threads (she.run_row_blocks), each writing
+    only its own rows, so the worker count cannot change them.
     """
     check_edge_shape(N, K)
     if n_samples < 1:
@@ -136,10 +136,9 @@ def sample_gue_edge_many(N: int, K: int, seed: int, n_samples: int) -> np.ndarra
     _dstebz()  # resolve the pointer here, not in a worker thread
 
     def run_block(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((seed, i))))
-            out[i] = _edge_points_one(N, K, rng)
+        for i in range(lo, hi):  # one live stream: a PCG64 holds ~1.5 kB
+            stream, = she._replica_generators(seed, i, 1)
+            out[i] = _edge_points_one(N, K, np.random.Generator(stream))
 
     she.run_row_blocks(run_block, n_samples, n_samples)
     return out

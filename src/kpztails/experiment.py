@@ -80,7 +80,8 @@ class ExperimentConfig:
 
     Every grid must be non-empty.  The lattices and the envelope queries
     that the runners build are built here too, so that their own checks
-    reject a bad value before any section runs.
+    reject a bad value before any section runs.  The lattice is (dx,
+    extent); dt, unless set, follows dx as dx^2/2 (she.SolverConfig).
 
     No section reads gibbs_n, airy_n or airy_N; they stay, checked, only
     because the benchmark's tiny bundle (perfbench/workloads.py) sets them.
@@ -98,7 +99,7 @@ class ExperimentConfig:
     zeta: float = 0.1
     constants: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
     dx: float = 0.05
-    dt: Optional[float] = 1.25e-3
+    dt: Optional[float] = None
     extent: float = 4.0
     gibbs_n: int = 200
     airy_n: int = 300

@@ -69,7 +69,6 @@ __all__ = [
     "stationarity_report",
     "FKGReport",
     "fkg_joint_vs_product",
-    "snap_to_grid",
 ]
 
 # the field's float type; readouts accumulate in float64
@@ -81,15 +80,15 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Lattice resolution and scheme parameters.
+    """The lattice, sites dx * k on [-extent, extent], and its time step.
 
-    dt defaults to dx^2/4; the explicit heat step requires dt <= dx^2/2.
-    The field is evolved in _DTYPE whatever the lattice.
+    dt defaults to dx^2/2, the explicit heat step's stability bound, which
+    a set dt may not exceed.  The field is evolved in _DTYPE.
     """
 
-    dx: float = 0.05
+    dx: float
+    extent: float
     dt: Optional[float] = None
-    extent: float = 8.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dx) and self.dx > 0.0):
@@ -103,7 +102,7 @@ class SolverConfig:
 
     @property
     def dt_value(self) -> float:
-        return self.dx**2 / 4.0 if self.dt is None else self.dt
+        return self.dx**2 / 2.0 if self.dt is None else self.dt
 
     @property
     def n_sites(self) -> int:
@@ -237,7 +236,7 @@ def _window_multipliers(gens, w: int, n_sites: int, sigma2: float, out):
     for start in range(0, n, _NOISE_ROWS):
         stop = min(n, start + _NOISE_ROWS)
         for i in range(start, stop):
-            raw = gens[i].bit_generator.random_raw(words)
+            raw = gens[i].random_raw(words)
             draws = raw.astype("<u8", copy=False).view(_LANE)
             np.less(draws[:count], threshold, out=bits[i, :count])
         block = bits[start:stop, :count]
@@ -247,8 +246,9 @@ def _window_multipliers(gens, w: int, n_sites: int, sigma2: float, out):
 
 
 def _replica_generators(seed: int, start: int, count: int) -> list:
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        (seed, start + i)))) for i in range(count)]
+    """Rows' PCG64 streams, row r's seeded by SeedSequence((seed, r))."""
+    return [np.random.PCG64(np.random.SeedSequence((seed, start + i)))
+            for i in range(count)]
 
 
 def _evolve(Z: np.ndarray, gens: list, steps: int, dt: float, dx: float):
@@ -278,17 +278,12 @@ class EnsembleResult:
     """Per-replica field readouts Z at probe (time, position) pairs.
 
     Z has shape (n_replicas, n_times, n_positions) in float64; probe_x
-    holds the grid-snapped positions actually read.
+    holds the lattice sites dx * k read.
     """
 
     probe_times: np.ndarray
     probe_x: np.ndarray
     Z: np.ndarray
-
-
-def snap_to_grid(values: Sequence[float], dx: float) -> np.ndarray:
-    """Nearest lattice positions for the requested readout coordinates."""
-    return dx * np.round(np.asarray(values, dtype=float) / dx)
 
 
 # cgroup v2 holds the CPU quota in <root>/cpu.max, v1 in
@@ -368,14 +363,15 @@ def solve_she_ensemble(
 ) -> EnsembleResult:
     """Evolve n_replicas independent fields, reading out Z at probe points.
 
-    Results are a pure function of (seed, n_replicas): replica r draws all
-    of its noise from PCG64 seeded with SeedSequence((seed, r)) in fixed
-    windows of _WINDOW steps, every operation on the field acts row by
-    row, and readouts are stored in replica order, so neither _CHUNK nor
-    the worker count can change them.  Brownian initial data is
-    held fixed across replicas (quenched path from the initial condition's
-    own seed); the dynamical noise varies.  A run makes one call, for the
-    narrow wedge, and composes the other initial data from its readout.
+    Probe times must be step multiples and probe positions lattice sites;
+    neither is rounded.  Results are a pure function of (seed, n_replicas):
+    replica r draws all of its noise from its _replica_generators stream in
+    fixed windows of _WINDOW steps, every operation on the field acts row
+    by row, and readouts are stored in replica order, so neither _CHUNK nor
+    the worker count can change them.  Brownian initial data is held fixed
+    across replicas (quenched path from the initial condition's own seed);
+    the dynamical noise varies.  A run makes one call, for the narrow
+    wedge, and composes the other initial data from its readout.
 
     _CHUNK bounds the replicas in flight across all workers together:
     run_row_blocks splits each chunk into W = min(usable_cores(), rows)
@@ -391,14 +387,17 @@ def solve_she_ensemble(
     step_of = _probe_steps([2.0 * T] if probe_times is None else probe_times,
                            steps, dt)
 
-    x_snap = snap_to_grid(probe_x, cfg.dx)
+    x = np.asarray(probe_x, dtype=float)
+    k = np.round(x / cfg.dx)
     half = cfg.n_sites // 2
-    x_idx = np.round(x_snap / cfg.dx).astype(int) + half
-    if np.any(np.abs(x_idx - half) > half):
-        raise ValueError("probe positions outside the lattice extent")
+    off = ~((np.abs(k * cfg.dx - x) <= 1e-9) & (np.abs(k) <= half))
+    if off.any():
+        raise ValueError(f"probe positions must be lattice sites within the "
+                         f"extent, dx = {cfg.dx:g}: got {x[off].tolist()}")
+    x_idx = k.astype(int) + half
 
     Z0 = _initial_Z(initial, T, cfg).astype(_DTYPE)
-    out = np.empty((n_replicas, step_of.size, x_snap.size), dtype=np.float64)
+    out = np.empty((n_replicas, step_of.size, x_idx.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
     def run_block(lo: int, hi: int) -> None:
@@ -410,7 +409,7 @@ def solve_she_ensemble(
                 out[lo:hi, hit, :] = Z[:, x_idx]
 
     run_row_blocks(run_block, n_replicas, _CHUNK)
-    return EnsembleResult(probe_times=step_of * dt, probe_x=x_snap, Z=out)
+    return EnsembleResult(probe_times=step_of * dt, probe_x=cfg.dx * k, Z=out)
 
 
 def boundary_bias_bound(extent: float, t: float, X: float = 0.0,

@@ -71,6 +71,15 @@ class TestMain:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "wall_s" not in summary and "solver_threads" not in summary
 
+    def test_dx_override_sets_the_time_step(self, tmp_path):
+        # dt follows dx as dx^2/2 unless set; a set dt is still checked
+        # (test_bad_config_exits_two)
+        path = tmp_path / "dx.json"
+        path.write_text('{"dx": 0.02, "n_samples": 10}')
+        rc = cli.main(["bounds", "--config", str(path),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+
     @pytest.mark.parametrize("text, message", [
         ('{"bogus": 1}', "unknown config fields: ['bogus']"),
         ('{"airy_T": 2}', "unknown config fields: ['airy_T']"),

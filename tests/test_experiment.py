@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kpztails import airy, bridges, experiment
+from kpztails import airy, bridges, experiment, she
 from kpztails.airy import laplace_exact, laplace_lhs
 from kpztails.bounds import BoundQuery
 from kpztails.experiment import (PRESETS, ExperimentConfig, preset_config,
@@ -170,6 +170,21 @@ class TestConfig:
     def test_solver_uses_config_lattice(self, tiny_cfg):
         sc = tiny_cfg.solver()
         assert sc.dx == tiny_cfg.dx and sc.extent == tiny_cfg.extent
+
+    def test_fine_dx_brings_its_own_time_step(self):
+        # dt = 0.00125 would break stability at dx = 0.02
+        assert ExperimentConfig(dx=0.02).solver().dt_value == 0.02**2 / 2.0
+
+    def test_coarse_dx_brings_its_own_time_step(self):
+        # dt = 0.00125 would run four times the steps at lam = 1/16
+        cfg = preset_config("smoke", {"dx": 0.1})
+        assert she._time_steps(cfg.T, cfg.solver()) == (400, 0.005)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_time_steps(self, name):
+        # the presets' artifacts rest on these steps
+        cfg = PRESETS[name]
+        assert she._time_steps(cfg.T, cfg.solver()) == (1600, 0.00125)
 
     def test_query_uses_config_parameters(self):
         cfg = ExperimentConfig(T=4.0, eps=0.2, delta=0.15, mu=0.25, zeta=0.1,
@@ -405,7 +420,7 @@ class TestPartialRuns:
                                          dict(dx=0.1, extent=0.3)])
     def test_lattice_end_site_past_extent(self, lattice, tmp_path):
         # the whole-field readout reaches dx * round(extent / dx) > extent
-        cfg = ExperimentConfig(**{**TINY, **lattice})
+        cfg = ExperimentConfig(**{**TINY, "dt": 1.25e-3, **lattice})
         experiment.run_simulate(cfg, 0, tmp_path)
         for name in cfg.initials:
             samples = _read_samples(tmp_path / f"samples_{name}.csv")

@@ -16,8 +16,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from kpztails.initial_data import (
@@ -36,7 +34,6 @@ from kpztails.she import (
     boundary_bias_bound,
     convolve_upsilon_with_f,
     fkg_joint_vs_product,
-    snap_to_grid,
     solve_she_ensemble,
     stationarity_report,
     wedge_readout_times,
@@ -71,10 +68,11 @@ def float64(monkeypatch):
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.dx == 0.05
-        assert cfg.dt_value == pytest.approx(0.05**2 / 4.0, rel=0, abs=0)
-        assert cfg.extent == 8.0
+        # the lattice has no default; dt follows it to the stability bound
+        with pytest.raises(TypeError):
+            SolverConfig()
+        cfg = SolverConfig(dx=0.05, extent=8.0)
+        assert cfg.dt_value == pytest.approx(0.05**2 / 2.0, rel=0, abs=0)
         assert cfg.n_sites == 321
 
     def test_x_grid_symmetric(self):
@@ -86,21 +84,22 @@ class TestSolverConfig:
         np.testing.assert_allclose(np.diff(x), 0.1, rtol=1e-12)
 
     def test_stability_boundary_value_accepted(self):
-        SolverConfig(dx=0.05, dt=0.05**2 / 2.0)
+        SolverConfig(dx=0.05, dt=0.05**2 / 2.0, extent=8.0)
 
     @pytest.mark.parametrize("bad", [0.05**2 / 2.0 + 1e-9, 0.0, -1e-3])
     def test_unstable_dt_rejected(self, bad):
         with pytest.raises(ValueError, match="stability"):
-            SolverConfig(dx=0.05, dt=bad)
+            SolverConfig(dx=0.05, dt=bad, extent=8.0)
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(dx=0.0)
+            SolverConfig(dx=0.0, extent=8.0)
         with pytest.raises(ValueError):
             SolverConfig(dx=0.1, extent=0.05)
         # an infinite extent would end in an OverflowError in the solver
-        for bad in (dict(extent=math.inf), dict(dx=math.inf),
-                    dict(dx=math.nan)):
+        for bad in (dict(dx=0.05, extent=math.inf),
+                    dict(dx=math.inf, extent=8.0),
+                    dict(dx=math.nan, extent=8.0)):
             with pytest.raises(ValueError, match="finite"):
                 SolverConfig(**bad)
 
@@ -111,7 +110,7 @@ class TestZeroNoise:
         # The Dirichlet edge decays from step one, but the contamination
         # spreads a single site per step, so after k steps everything more
         # than k sites from either wall is still bitwise 1.0.
-        cfg = SolverConfig(dx=0.05, extent=4.0)
+        cfg = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=4.0)
         steps = 50
         T = steps * cfg.dt_value / 2.0
         Z = final_field(Flat(), T, cfg)
@@ -119,7 +118,7 @@ class TestZeroNoise:
         assert Z[0] < 0.5  # boundary layer is real, not an artifact
 
     def test_flat_constant_away_from_boundary(self):
-        cfg = SolverConfig(dx=0.05, extent=8.0)
+        cfg = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=8.0)
         Z = final_field(Flat(), 0.5, cfg)
         center = Z.size // 2
         assert abs(Z[center] - 1.0) <= 1e-12
@@ -127,7 +126,7 @@ class TestZeroNoise:
         assert np.max(np.abs(Z[inner] - 1.0)) <= 1e-4
 
     def test_narrow_wedge_matches_heat_kernel(self):
-        cfg = SolverConfig(dx=0.05, extent=4.0)
+        cfg = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=4.0)
         Z = final_field(NarrowWedge(), 0.5, cfg)
         x = cfg.x_grid
         kern = heat_kernel(x, 1.0)
@@ -139,7 +138,7 @@ class TestZeroNoise:
         assert abs(Z[origin] - kern[origin]) / kern[origin] <= 2e-4
 
     def test_mass_conserved_for_decaying_data(self):
-        cfg = SolverConfig(dx=0.05, extent=8.0)
+        cfg = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=8.0)
         Z = final_field(NarrowWedge(), 0.5, cfg)
         assert abs(np.sum(Z) * cfg.dx - 1.0) <= 1e-10
         edge = np.sum(Z[:10]) + np.sum(Z[-10:])  # within 10 sites of a wall
@@ -170,7 +169,8 @@ class TestZeroNoise:
 
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            solve_she_ensemble(Flat(), T=0.0, cfg=SolverConfig(), seed=0,
+            solve_she_ensemble(Flat(), T=0.0,
+                               cfg=SolverConfig(dx=0.05, extent=8.0), seed=0,
                                n_replicas=1)
 
 
@@ -193,7 +193,7 @@ class TestNoiseMoments:
         assert abs(z.mean() - 1.0) <= 3.0 * se
 
     def test_noisy_field_stays_positive(self):
-        cfg = SolverConfig(dx=0.1, extent=2.0)
+        cfg = SolverConfig(dx=0.1, dt=0.1**2 / 4.0, extent=2.0)
         assert np.min(final_field(NarrowWedge(), 0.5, cfg, seed=9)) > 0.0
 
 
@@ -245,8 +245,7 @@ class TestTwoPointLaw:
                           0, 65535, 65535, 65535], dtype=np.uint64)
         words = (lanes.reshape(2, 4) << np.array([0, 16, 32, 48],
                                                  dtype=np.uint64)).sum(1)
-        raw = SimpleNamespace(random_raw=lambda n: words[:n].copy())
-        gen = SimpleNamespace(bit_generator=raw)
+        gen = SimpleNamespace(random_raw=lambda n: words[:n].copy())
         out = np.full((1, 8), np.nan, dtype=dtype)
         mult = she._window_multipliers([gen], 1, 7, 0.05, out)
         assert mult.dtype == dtype
@@ -383,7 +382,7 @@ class TestEnsemble:
         for r, gen in enumerate(she._replica_generators(6, 0, n)):
             for w, (_, got) in zip(sizes, windows):
                 count = w * cfg.n_sites
-                raw = gen.bit_generator.random_raw(-(-count // 4))
+                raw = gen.random_raw(-(-count // 4))
                 lanes = ((raw[:, None] >> shifts) & np.uint64(0xFFFF))
                 mult = np.where(lanes.reshape(-1) < threshold, hi, lo)
                 assert mult.dtype == np.float32
@@ -508,10 +507,15 @@ class TestEnsemble:
             solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
                                n_replicas=2, probe_times=bad)
 
-    def test_probe_positions_snap_to_grid(self):
-        r = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=self.CFG, seed=1,
-                               n_replicas=2, probe_x=(0.249, -1.02))
-        np.testing.assert_allclose(r.probe_x, [0.2, -1.0], atol=1e-12)
+    def test_off_lattice_probe_position_rejected(self):
+        # a position is read where it is asked for, or not at all
+        cfg = SolverConfig(dx=0.05, extent=2.0)
+        with pytest.raises(ValueError, match=r"lattice sites.*\[0\.249\]"):
+            solve_she_ensemble(NarrowWedge(), T=0.05, cfg=cfg, seed=1,
+                               n_replicas=2, probe_x=(0.25, 0.249, -1.0))
+        r = solve_she_ensemble(NarrowWedge(), T=0.05, cfg=cfg, seed=1,
+                               n_replicas=2, probe_x=(0.25, -1.0 + 5e-10))
+        np.testing.assert_array_equal(r.probe_x, [0.05 * 5, 0.05 * -20])
 
     def test_probe_position_outside_extent_rejected(self):
         with pytest.raises(ValueError, match="extent"):
@@ -522,7 +526,7 @@ class TestEnsemble:
                                            (0.1, 0.3)])
     def test_every_lattice_site_is_a_probe(self, dx, extent):
         # the end site dx * round(extent / dx) may lie just past extent
-        cfg = SolverConfig(dx=dx, extent=extent)
+        cfg = SolverConfig(dx=dx, dt=dx**2 / 4.0, extent=extent)
         r = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=cfg, seed=1,
                                n_replicas=2, probe_x=cfg.x_grid)
         np.testing.assert_array_equal(r.probe_x, cfg.x_grid)
@@ -678,7 +682,7 @@ def profile(y, f):
 
 
 class TestConvolve:
-    CFG = SolverConfig(dx=0.2, extent=2.0)
+    CFG = SolverConfig(dx=0.2, dt=0.2**2 / 4.0, extent=2.0)
     T = 0.3  # 60 steps, one noise window
 
     def wedge(self, n_replicas=1, seed=0, cfg=None, T=None):
@@ -711,7 +715,8 @@ class TestConvolve:
 
     @pytest.mark.parametrize("initial", [Flat(), BrownianTwoSided(seed=8)])
     def test_same_law_as_direct_run(self, initial):
-        cfg, T, n = SolverConfig(dx=0.1, extent=3.0), 0.5, 2000
+        cfg = SolverConfig(dx=0.1, dt=0.1**2 / 4.0, extent=3.0)
+        T, n = 0.5, 2000
         derived = convolve_upsilon_with_f(self.wedge(n, 1, cfg, T), initial,
                                           T, cfg)
         direct = solve_she_ensemble(initial, T, cfg, seed=2, n_replicas=n)
@@ -722,7 +727,7 @@ class TestConvolve:
     def test_flat_profile_gaussian_integral(self):
         # under the heat flow the flat value is the wedge's total mass, the
         # lattice Gaussian integral dx sum_x p(x) = 1
-        cfg = SolverConfig(dx=0.05, extent=8.0)
+        cfg = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=8.0)
         z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, 0.5), Flat(), 0.5,
                                     cfg)[0]
         assert z == pytest.approx(1.0, abs=1e-12)
@@ -732,7 +737,7 @@ class TestConvolve:
         # f = 0 on |y| <= 1, -inf outside: under the heat flow the value is
         # the chance that B(2T) lands in |x| <= (2T)^{2/3} = 1 at T = 1/2,
         # and the lattice counts both end sites whole
-        cfg, T = SolverConfig(dx=0.05, extent=4.0), 0.5
+        cfg, T = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=4.0), 0.5
         window = profile([-1.0, 1.0], [0.0, 0.0])
         z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, T), window, T,
                                     cfg)[0]
@@ -874,16 +879,3 @@ class TestFKG:
             fkg_joint_vs_product(H, [0.0])
         with pytest.raises(ValueError, match="side"):
             fkg_joint_vs_product(H, [0.0, 0.0], side="both")
-
-
-class TestSnapToGrid:
-    def test_frozen_cases(self):
-        np.testing.assert_allclose(snap_to_grid([0.249, -1.02, 0.0], 0.05),
-                                   [0.25, -1.0, 0.0], atol=1e-12)
-
-    @given(v=st.floats(-50.0, 50.0), dx=st.sampled_from([0.01, 0.05, 0.1, 0.25]))
-    @settings(max_examples=200, deadline=None)
-    def test_snap_is_nearest_and_idempotent(self, v, dx):
-        s = snap_to_grid([v], dx)[0]
-        assert abs(s - v) <= dx / 2.0 + 1e-12
-        assert snap_to_grid([s], dx)[0] == pytest.approx(s, abs=1e-12)
