@@ -26,13 +26,8 @@ Cole-Hopf map H = log Z and the centering and T^{1/3} scaling that give the
 heights whose moments and tails the rest of the package bounds live in
 initial_data.scale_center_height.
 
-Boundary truncation is Dirichlet zero.  It is certified post hoc: for a
-readout at X the relative effect on E Z is at most the chance a Brownian
-path from X touches L or -L before the final time, which the reflection
-principle bounds by 2 Phi_bar((L-|X|)/sqrt t) + 2 Phi_bar((L+|X|)/sqrt t)
-(general data), or the reflection-image correction
-2 exp(-((2L-|X|)^2 - X^2)/(2t)) of the killed kernel (delta data at the
-origin).
+Boundary truncation is Dirichlet zero, and no run certifies its effect;
+exact lattice flows that measure it are left to ROADMAP direction 15.
 
 Replicas own independent PCG64 streams seeded by (master seed, replica
 index), and every noise and stencil operation acts row by row, so every
@@ -62,7 +57,6 @@ __all__ = [
     "SolverConfig",
     "EnsembleResult",
     "solve_she_ensemble",
-    "boundary_bias_bound",
     "wedge_readout_times",
     "convolve_upsilon_with_f",
     "StationarityReport",
@@ -114,12 +108,12 @@ class SolverConfig:
         return self.dx * np.arange(-half, half + 1)
 
 
-def _initial_Z(initial: InitialData, T: float, cfg: SolverConfig) -> np.ndarray:
+def _initial_Z(initial: InitialData, cfg: SolverConfig) -> np.ndarray:
     if isinstance(initial, NarrowWedge):
         Z0 = np.zeros(cfg.n_sites)
         Z0[cfg.n_sites // 2] = 1.0 / cfg.dx  # lattice delta, mass 1
         return Z0
-    H0 = make_unscaled_initial(initial, T, cfg.x_grid)
+    H0 = make_unscaled_initial(initial, cfg.x_grid)
     with np.errstate(over="raise"):
         return np.exp(H0)
 
@@ -396,7 +390,7 @@ def solve_she_ensemble(
                          f"extent, dx = {cfg.dx:g}: got {x[off].tolist()}")
     x_idx = k.astype(int) + half
 
-    Z0 = _initial_Z(initial, T, cfg).astype(_DTYPE)
+    Z0 = _initial_Z(initial, cfg).astype(_DTYPE)
     out = np.empty((n_replicas, step_of.size, x_idx.size), dtype=np.float64)
     probe_set = {int(s): i for i, s in enumerate(step_of)}
 
@@ -410,33 +404,6 @@ def solve_she_ensemble(
 
     run_row_blocks(run_block, n_replicas, _CHUNK)
     return EnsembleResult(probe_times=step_of * dt, probe_x=cfg.dx * k, Z=out)
-
-
-def boundary_bias_bound(extent: float, t: float, X: float = 0.0,
-                        delta_init: bool = False) -> float:
-    """Relative effect of the Dirichlet truncation on E Z(t, X).
-
-    General data: the truncation kills every path from X that touches L or
-    -L before time t.  By the reflection principle each wall is touched
-    with chance 2 Phi_bar(distance/sqrt t), so the bound is
-    2 Phi_bar((L-|X|)/sqrt t) + 2 Phi_bar((L+|X|)/sqrt t), capped at 1.
-    Delta data at the origin: the smaller of that and the reflection-image
-    correction of the killed heat kernel, 2 exp(-((2L-|X|)^2 - X^2)/(2t)).
-    """
-    # imported here so that importing kpztails does not load scipy
-    from scipy.special import ndtr
-
-    if not (extent > 0.0 and t > 0.0):
-        raise ValueError("extent and t must be positive")
-    if abs(X) >= extent:
-        raise ValueError("readout outside the domain")
-    root_t = math.sqrt(t)
-    exit_bound = min(1.0, 2.0 * ndtr((abs(X) - extent) / root_t)
-                     + 2.0 * ndtr((-abs(X) - extent) / root_t))
-    if not delta_init:
-        return float(exit_bound)
-    image = 2.0 * math.exp(-((2.0 * extent - abs(X)) ** 2 - X * X) / (2.0 * t))
-    return float(min(exit_bound, image))
 
 
 def wedge_readout_times(T: float, cfg: SolverConfig) -> tuple:
@@ -478,7 +445,7 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
     _, dt = _time_steps(T, cfg)
     HW = np.empty_like(wedge.Z[:, 0])
     _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW, dt, cfg.dx)
-    return cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, T, cfg))
+    return cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, cfg))
 
 
 @dataclass(frozen=True)

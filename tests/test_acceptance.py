@@ -35,9 +35,8 @@ from kpztails.she import (EnsembleResult, SolverConfig,
 from kpztails.tails import UNTESTABLE, VIOLATION, bound_violation_report
 
 DX = 0.05
-DT = 1.25e-3  # stability boundary dx^2/2; halves the step count
 CONSTANTS = {"K": 1.0, "K1": 1.0, "K2": 1.0, "s0": 0.0}
-NW_CFG = SolverConfig(dx=DX, dt=DT, extent=6.0)  # nw_t1's lattice
+NW_CFG = SolverConfig(dx=DX, extent=6.0)  # nw_t1's lattice
 # the lattice indices of the positions X in {0, 0.8, 1.6} that c10 and
 # c12 read
 NW_IDX = [NW_CFG.n_sites // 2 + round(x / DX) for x in (0.0, 0.8, 1.6)]
@@ -68,7 +67,7 @@ def first_moment_run():
     # probes at t in {1, 2} give Z(2T, 0) for T in {0.5, 1} in one sweep
     t0 = time.monotonic()
     res = solve_she_ensemble(
-        NarrowWedge(), 1.0, SolverConfig(dx=DX, dt=DT, extent=3.0),
+        NarrowWedge(), 1.0, SolverConfig(dx=DX, extent=3.0),
         seed=101, n_replicas=10**5, probe_times=[1.0, 2.0], probe_x=[0.0])
     return res, time.monotonic() - t0
 
@@ -88,7 +87,7 @@ def nw_t1():
 def laplace_samples():
     t0 = time.monotonic()
     res = solve_she_ensemble(
-        NarrowWedge(), 2.0, SolverConfig(dx=DX, dt=DT, extent=4.0),
+        NarrowWedge(), 2.0, SolverConfig(dx=DX, extent=4.0),
         seed=404, n_replicas=10**4)
     return (scale_center_height(res.Z[:, -1, 0], 2.0, NarrowWedge()),
             time.monotonic() - t0)

@@ -7,94 +7,31 @@ from hypothesis import given, strategies as st
 from kpztails.initial_data import (
     BrownianTwoSided,
     Flat,
-    GeneralScaled,
-    HypParams,
     NarrowWedge,
-    Profile,
     make_unscaled_initial,
     scale_center_height,
 )
 
 
-def flat_profile(extent=4.0, n=81):
-    y = np.linspace(-extent, extent, n)
-    return Profile(y, np.zeros(n))
-
-
-class TestHypParams:
-    def test_accepts_reference_values(self):
-        HypParams(C=1.0, nu=0.5, theta=1.0, kappa=1.0, M=1.0)
-
-    @pytest.mark.parametrize("nu", [0.0, 1.0, -0.2, 1.5])
-    def test_rejects_nu_outside_open_interval(self, nu):
-        with pytest.raises(ValueError):
-            HypParams(C=0.0, nu=nu, theta=1.0, kappa=1.0, M=1.0)
-
-    def test_rejects_theta_wider_than_interval(self):
-        with pytest.raises(ValueError):
-            HypParams(C=0.0, nu=0.5, theta=2.5, kappa=1.0, M=1.0)
-
-    @pytest.mark.parametrize("kw", [{"theta": 0.0}, {"kappa": -1.0}, {"M": 0.0}])
-    def test_rejects_nonpositive_scale_params(self, kw):
-        base = dict(C=0.0, nu=0.5, theta=1.0, kappa=1.0, M=1.0)
-        base.update(kw)
-        with pytest.raises(ValueError):
-            HypParams(**base)
-
-
-class TestProfileEvaluation:
-    def test_linear_interpolation(self):
-        p = Profile(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-        assert p(0.5) == pytest.approx(1.0)
-
-    def test_outside_grid_is_minus_inf(self):
-        p = flat_profile(extent=1.0, n=3)
-        assert p(1.5) == -np.inf and p(-1.5) == -np.inf
-
-    def test_minus_inf_segment_keeps_finite_node_value(self):
-        p = Profile(np.array([-1.0, 0.0, 1.0]), np.array([-np.inf, 3.0, -np.inf]))
-        assert p(0.0) == 3.0
-        assert p(0.5) == -np.inf
-        assert p(-0.25) == -np.inf
-
-
 class TestMakeUnscaledInitial:
     def test_flat_is_zero(self):
         x = np.linspace(-2, 2, 11)
-        H0 = make_unscaled_initial(Flat(), T=0.7, x_grid=x)
+        H0 = make_unscaled_initial(Flat(), x_grid=x)
         assert H0.shape == x.shape
         assert np.all(H0 == 0.0)
 
     def test_narrow_wedge_rejected(self):
         # the solver places the narrow wedge's lattice delta itself
         with pytest.raises(TypeError, match="NarrowWedge"):
-            make_unscaled_initial(NarrowWedge(), T=1.0, x_grid=np.zeros(3))
-
-    def test_linear_profile_scaling(self):
-        # f(y)=y, T=1/2: (2T)^(2/3)=1 so H_0(x) = (1/2)^(1/3) x
-        y = np.linspace(-3, 3, 61)
-        prof = Profile(y, y.copy())
-        hyp = HypParams(C=3.0, nu=0.5, theta=1.0, kappa=3.0, M=1.0)
-        T = 0.5
-        x = (2 * T) ** (2 / 3) * y
-        H0 = make_unscaled_initial(GeneralScaled(prof, hyp), T=T, x_grid=x)
-        assert H0 == pytest.approx(0.5 ** (1 / 3) * x)
-        assert H0[-1] == pytest.approx(3 * 0.79370, abs=3e-5)
-
-    def test_roundtrip_reproduces_profile(self):
-        y = np.linspace(-2, 2, 41)
-        prof = Profile(y, np.sin(y))
-        hyp = HypParams(C=2.0, nu=0.5, theta=1.0, kappa=2.0, M=1.0)
-        T = 1.7
-        x = (2 * T) ** (2 / 3) * y
-        H0 = make_unscaled_initial(GeneralScaled(prof, hyp), T=T, x_grid=x)
-        back = H0 / T ** (1 / 3)
-        assert back == pytest.approx(np.sin(y), abs=1e-12)
+            make_unscaled_initial(NarrowWedge(), x_grid=np.zeros(3))
+        # a type that is no initial data at all has no initial height either
+        with pytest.raises(TypeError, match="no initial height"):
+            make_unscaled_initial(object(), x_grid=np.zeros(3))
 
     def test_brownian_variance_and_pinning(self):
         x = np.linspace(-4, 4, 17)
         draws = np.array([
-            make_unscaled_initial(BrownianTwoSided(seed=s), T=1.0, x_grid=x)
+            make_unscaled_initial(BrownianTwoSided(seed=s), x_grid=x)
             for s in range(4000)
         ])
         i0 = np.argmin(np.abs(x))
@@ -107,8 +44,8 @@ class TestMakeUnscaledInitial:
 
     def test_brownian_draw_is_seed_deterministic(self):
         x = np.linspace(-1, 1, 9)
-        a = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x)
-        b = make_unscaled_initial(BrownianTwoSided(seed=7), T=1.0, x_grid=x)
+        a = make_unscaled_initial(BrownianTwoSided(seed=7), x_grid=x)
+        b = make_unscaled_initial(BrownianTwoSided(seed=7), x_grid=x)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("x", [
@@ -128,13 +65,8 @@ class TestMakeUnscaledInitial:
                 dv = math.sqrt(abs(x[i] - prev_x)) * rng.standard_normal()
                 ref[i] = prev_v + dv
                 prev_x, prev_v = x[i], ref[i]
-        got = make_unscaled_initial(BrownianTwoSided(seed=seed), T=1.0,
-                                    x_grid=x)
+        got = make_unscaled_initial(BrownianTwoSided(seed=seed), x_grid=x)
         assert got.tobytes() == ref.tobytes()
-
-    def test_invalid_T(self):
-        with pytest.raises(ValueError):
-            make_unscaled_initial(Flat(), T=0.0, x_grid=np.array([0.0, 1.0]))
 
 
 class TestScaleCenterHeight:
@@ -142,9 +74,7 @@ class TestScaleCenterHeight:
         (NarrowWedge(), False),
         (Flat(), True),
         (BrownianTwoSided(seed=3), True),
-        (GeneralScaled(flat_profile(), HypParams(C=1.0, nu=0.5, theta=1.0,
-                                                 kappa=1.0, M=1.0)), True),
-    ], ids=["NarrowWedge", "Flat", "BrownianTwoSided", "GeneralScaled"])
+    ], ids=["NarrowWedge", "Flat", "BrownianTwoSided"])
     def test_centering_follows_initial_type(self, initial, general):
         # Z = 1 reads H = 0 exactly, so the result is the centering alone
         T = 0.8

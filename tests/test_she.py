@@ -21,17 +21,12 @@ from scipy import stats
 from kpztails.initial_data import (
     BrownianTwoSided,
     Flat,
-    GeneralScaled,
-    HypParams,
     NarrowWedge,
-    Profile,
-    scale_center_height,
 )
 from kpztails import she
 from kpztails.she import (
     EnsembleResult,
     SolverConfig,
-    boundary_bias_bound,
     convolve_upsilon_with_f,
     fkg_joint_vs_product,
     solve_she_ensemble,
@@ -176,7 +171,7 @@ class TestZeroNoise:
 
 class TestNoiseMoments:
     def test_narrow_wedge_first_moment(self):
-        cfg = SolverConfig(dx=0.05, dt=1.25e-3, extent=3.0)
+        cfg = SolverConfig(dx=0.05, extent=3.0)
         res = solve_she_ensemble(NarrowWedge(), T=0.5, cfg=cfg, seed=4,
                                  n_replicas=3000)
         z = res.Z[:, 0, 0]
@@ -185,7 +180,7 @@ class TestNoiseMoments:
         assert abs(z.mean() - exact) <= 3.0 * se
 
     def test_flat_first_moment(self):
-        cfg = SolverConfig(dx=0.05, dt=1.25e-3, extent=4.0)
+        cfg = SolverConfig(dx=0.05, extent=4.0)
         res = solve_she_ensemble(Flat(), T=0.5, cfg=cfg, seed=3,
                                  n_replicas=3000)
         z = res.Z[:, 0, 0]
@@ -580,105 +575,12 @@ class TestUsableCores:
         assert 1 <= she.usable_cores() <= (os.cpu_count() or 1)
 
 
-class TestBoundaryBias:
-    def test_frozen_values(self):
-        assert boundary_bias_bound(3.0, 2.0, delta_init=True) == pytest.approx(
-            2.0 * math.exp(-9.0), rel=1e-12)
-        # both walls at distance 3/sqrt(2) standard deviations
-        assert boundary_bias_bound(3.0, 2.0) == pytest.approx(
-            0.06778970704937854, rel=1e-9)
-        assert boundary_bias_bound(0.5, 8.0) == 1.0  # the cap
-
-    def test_bitwise_against_norm_sf_and_image(self):
-        # ndtr(-x) is what stats.norm.sf(x) computes, called directly to
-        # keep scipy.stats out of the package import; the grid takes both
-        # sides of each min
-        for L, t, X in [(0.5, 8.0, 0.0), (0.5, 0.1, 0.2), (2.0, 1.0, 0.0),
-                        (3.0, 2.0, -1.5), (8.0, 2.0, 0.0), (8.0, 8.0, 7.9),
-                        (6.0, 1.0, 0.5), (12.0, 1.0, 0.0)]:
-            exit_bound = min(
-                1.0, 2.0 * stats.norm.sf((L - abs(X)) / math.sqrt(t))
-                + 2.0 * stats.norm.sf((L + abs(X)) / math.sqrt(t)))
-            image = 2.0 * math.exp(-((2.0 * L - abs(X)) ** 2 - X * X)
-                                   / (2.0 * t))
-            assert boundary_bias_bound(L, t, X) == exit_bound, (L, t, X)
-            assert boundary_bias_bound(L, t, X, delta_init=True) == min(
-                exit_bound, image), (L, t, X)
-
-    def test_delta_bound_never_looser_than_exit_bound(self):
-        for L, t, X in [(2.0, 1.0, 0.0), (3.0, 2.0, 1.0), (4.0, 4.0, -2.0),
-                        (1.0, 8.0, 0.5)]:
-            general = boundary_bias_bound(L, t, X)
-            assert boundary_bias_bound(L, t, X, delta_init=True) <= general
-            assert general <= 1.0
-
-    # 1 - Z and the relative gaps below carry the float64 rounding of up
-    # to 6400 heat steps, far below this slack
-    ROUNDING = 1e-12
-
-    @pytest.mark.usefixtures("zero_noise", "float64")
-    @pytest.mark.parametrize("L", [4.0, 6.0])
-    def test_bounds_flat_lattice_loss(self, L):
-        # with unit noise the solver runs the heat flow, whose flat data
-        # stays exactly 1 on the whole line, so 1 - Z(t, X) is the
-        # truncation's loss of E Z; the endpoint chance 2 Phi_bar((L-|X|)/
-        # sqrt t) alone is below it (at L, t, X = 4, 2, 0: 0.468% < 0.837%)
-        cfg = SolverConfig(dx=0.05, dt=1.25e-3, extent=L)
-        X = np.arange(0.0, L, 0.5)
-        res = solve_she_ensemble(Flat(), 4.0, cfg, seed=0, n_replicas=1,
-                                 probe_times=[2.0, 8.0], probe_x=X)
-        for i, t in enumerate(res.probe_times):
-            for x, z in zip(res.probe_x, res.Z[0, i]):
-                assert 1.0 - z <= boundary_bias_bound(L, t, x) + self.ROUNDING, (
-                    L, t, x)
-
-    @pytest.mark.usefixtures("zero_noise", "float64")
-    @pytest.mark.parametrize("L", [2.0, 3.0, 4.0])
-    def test_bounds_delta_lattice_loss(self, L):
-        # the wedge on extent L + 8 stands in for the untruncated line
-        X = np.arange(0.0, L, 0.25)
-        Z_L, Z_far = (solve_she_ensemble(
-            NarrowWedge(), 4.0, SolverConfig(dx=0.05, dt=1.25e-3, extent=e),
-            seed=0, n_replicas=1, probe_times=[1.0, 2.0, 4.0, 8.0],
-            probe_x=X).Z[0] for e in (L, L + 8.0))
-        for i, t in enumerate((1.0, 2.0, 4.0, 8.0)):
-            for j, x in enumerate(X):
-                loss = 1.0 - Z_L[i, j] / Z_far[i, j]
-                assert loss <= boundary_bias_bound(
-                    L, t, x, delta_init=True) + self.ROUNDING, (L, t, x)
-
-    def test_monotone_in_extent(self):
-        vals = [boundary_bias_bound(L, 2.0, delta_init=True)
-                for L in (2.0, 3.0, 4.0, 6.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_offcenter_readout_larger_bias(self):
-        assert boundary_bias_bound(3.0, 1.0, X=1.5) > boundary_bias_bound(
-            3.0, 1.0, X=0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            boundary_bias_bound(0.0, 1.0)
-        with pytest.raises(ValueError):
-            boundary_bias_bound(2.0, -1.0)
-        with pytest.raises(ValueError, match="outside"):
-            boundary_bias_bound(2.0, 1.0, X=2.0)
-
-
 def fixed_noise(monkeypatch, mult):
     """Every replica draws the (steps, n_sites) multipliers mult."""
     def fixed(gens, w, n_sites, sigma2, out):
         return np.broadcast_to(mult, (len(gens), w, n_sites))
 
     monkeypatch.setattr(she, "_window_multipliers", fixed)
-
-
-HYP = HypParams(C=1.0, nu=0.5, theta=0.5, kappa=1.0, M=1.0)
-
-
-def profile(y, f):
-    return GeneralScaled(Profile(y=np.asarray(y, float),
-                                 f=np.asarray(f, float)), HYP)
 
 
 class TestConvolve:
@@ -693,10 +595,8 @@ class TestConvolve:
                                   probe_x=cfg.x_grid)
 
     @pytest.mark.usefixtures("float64")
-    @pytest.mark.parametrize("initial", [
-        NarrowWedge(), Flat(), BrownianTwoSided(seed=3),
-        profile([-1.5, 0.0, 1.0, 2.0], [-0.5, 0.4, -1.0, -np.inf]),
-    ])
+    @pytest.mark.parametrize("initial", [NarrowWedge(), Flat(),
+                                         BrownianTwoSided(seed=3)])
     def test_equals_direct_run_under_reversed_noise(self, monkeypatch,
                                                     initial):
         # the composed value under wedge noise (E_1, ..., E_n) is the direct
@@ -732,42 +632,6 @@ class TestConvolve:
                                     cfg)[0]
         assert z == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.usefixtures("zero_noise", "float64")
-    def test_constant_on_window(self):
-        # f = 0 on |y| <= 1, -inf outside: under the heat flow the value is
-        # the chance that B(2T) lands in |x| <= (2T)^{2/3} = 1 at T = 1/2,
-        # and the lattice counts both end sites whole
-        cfg, T = SolverConfig(dx=0.05, dt=0.05**2 / 4.0, extent=4.0), 0.5
-        window = profile([-1.0, 1.0], [0.0, 0.0])
-        z = convolve_upsilon_with_f(self.wedge(1, 0, cfg, T), window, T,
-                                    cfg)[0]
-        direct = solve_she_ensemble(window, T, cfg, seed=0, n_replicas=1)
-        assert z == pytest.approx(direct.Z[0, 0, 0], rel=1e-12)
-        ends = cfg.dx * heat_kernel(1.0, 1.0)
-        assert z == pytest.approx(math.erf(1.0 / math.sqrt(2.0)) + ends,
-                                  abs=1e-3)
-
-    def test_narrow_window_limit(self):
-        # a window holding the origin site alone gives dx times the wedge
-        w = self.wedge(n_replicas=3)
-        y0 = self.CFG.dx / (2.0 * self.T) ** (2.0 / 3.0) / 2.0
-        z = convolve_upsilon_with_f(w, profile([-y0, y0], [0.0, 0.0]),
-                                    self.T, self.CFG)
-        origin = self.CFG.n_sites // 2
-        np.testing.assert_allclose(z, self.CFG.dx * w.Z[:, 1, origin],
-                                   rtol=1e-14)
-
-    def test_scale_shift_in_T(self):
-        # f + c multiplies Z_0 by exp(T^{1/3} c), so h shifts by c exactly
-        w, c = self.wedge(n_replicas=3), 0.7
-        y, f = [-2.0, 0.5, 3.0], [-0.3, 0.2, -1.0]
-        h = []
-        for shift in (0.0, c):
-            initial = profile(y, np.add(f, shift))
-            z = convolve_upsilon_with_f(w, initial, self.T, self.CFG)
-            h.append(scale_center_height(z, self.T, initial))
-        np.testing.assert_allclose(h[1] - h[0], c, rtol=1e-12)
-
     def test_batched_rows_match_scalar_calls(self):
         w = self.wedge(n_replicas=3)
         batch = convolve_upsilon_with_f(w, Flat(), self.T, self.CFG)
@@ -796,6 +660,9 @@ class TestConvolve:
             convolve_upsilon_with_f(origin_only, Flat(), self.T, self.CFG)
         with pytest.raises(ValueError, match="two or more"):
             wedge_readout_times(self.CFG.dt_value / 2.0, self.CFG)
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                convolve_upsilon_with_f(final_only, Flat(), T, self.CFG)
 
 
 class TestStationarity:
