@@ -150,7 +150,6 @@ class LaplaceEstimate:
 
     value: float
     se: float
-    n: int
     truncation_bound: float = 0.0
 
 
@@ -169,8 +168,7 @@ def laplace_lhs(upsilon: np.ndarray, s: float, T: float) -> LaplaceEstimate:
     inner = np.exp(np.minimum(T**_THIRD * (u - s), 50.0))
     vals = np.exp(-inner)
     return LaplaceEstimate(value=float(vals.mean()),
-                           se=float(vals.std(ddof=1) / math.sqrt(vals.size)),
-                           n=int(vals.size))
+                           se=float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
 
 def laplace_exact(s: float, T: float) -> tuple[float, float, int]:
@@ -271,4 +269,4 @@ def laplace_rhs(samples: np.ndarray, s: float, T: float) -> LaplaceEstimate:
             f"at K = {K}; increase K")
     return LaplaceEstimate(value=value,
                            se=float(vals.std(ddof=1) / math.sqrt(vals.size)),
-                           n=int(vals.size), truncation_bound=bound)
+                           truncation_bound=bound)

@@ -66,6 +66,8 @@ _MIN_ACCEPT_PROPOSALS = 10**6
 # paths per batch of bridge_min_tail_mc and, at most, of gibbs_resample
 _MC_CHUNK = 10**5
 _GIBBS_CHUNK = 2 * 10**4
+# grid steps of each bridge_min_tail_mc path
+_MC_STEPS = 64
 # rows per block of the path pipeline (_PathKernel): one block of normals
 # is about 1 MB at 64 steps
 _BLOCK_ROWS = 2048
@@ -235,21 +237,19 @@ def bridge_min_tail_mc(
     s: float,
     n: int = 10**5,
     seed: int = 0,
-    n_steps: int = 64,
 ) -> tuple[float, float]:
     """Unbiased Monte Carlo companion of bridge_min_tail: (estimate, se).
 
-    Estimates P(inf B <= min(x,y) - s) by averaging, over sampled grid
-    paths, the exact conditional crossing probability of the level
-    m = min(x,y) - s (per-segment correction; no discretization bias).
+    Estimates P(inf B <= min(x,y) - s) by averaging, over paths sampled
+    on _MC_STEPS grid steps, the exact conditional crossing probability of
+    the level m = min(x,y) - s (per-segment correction; no discretization
+    bias).
     """
     if not s >= 0.0:
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    spec = BridgeSpec(a=0.0, b=L, x=x, y=y, step=L / n_steps)
+    spec = BridgeSpec(a=0.0, b=L, x=x, y=y, step=L / _MC_STEPS)
     level = min(x, y) - s
     m = spec.n_steps
     dt = L / m
@@ -312,7 +312,6 @@ class GibbsResult:
     n_proposals: int
     n_accepted: int
     mean_weight: float
-    max_weight: float
 
     @property
     def acceptance_rate(self) -> float:
@@ -393,7 +392,7 @@ def gibbs_resample(
                     f"(mean weight {w_sum / n_prop:.3g}, max weight {w_max:.3g})")
     paths = np.concatenate(accepted, axis=0)[:n]
     return GibbsResult(paths=paths, n_proposals=n_prop, n_accepted=n_acc,
-                       mean_weight=w_sum / n_prop, max_weight=w_max)
+                       mean_weight=w_sum / n_prop)
 
 
 @dataclass(frozen=True)
@@ -407,10 +406,6 @@ class DominanceReport:
     passed: bool
     max_deficit: float
     worst_t: float
-    grid: np.ndarray
-    cdf_a: np.ndarray
-    cdf_b: np.ndarray
-    n: int
 
 
 def _boundary_leq(spec_b: GibbsSpec, spec_a: GibbsSpec) -> bool:
@@ -459,8 +454,4 @@ def dominance_test(
         passed=bool(np.all(deficit <= 0.0)),
         max_deficit=float(deficit[worst]),
         worst_t=float(grid[worst]),
-        grid=grid,
-        cdf_a=cdf_a,
-        cdf_b=cdf_b,
-        n=n,
     )

@@ -166,11 +166,9 @@ def psi(k: int, T: float) -> float:
 class PartitionTerm:
     """One partition's contribution to the moment sum."""
 
-    partition: Partition
     value: float
     quad_error: float
     skipped: bool
-    skip_bound: float
 
 
 @dataclass(frozen=True)
@@ -316,12 +314,12 @@ def moment_exact(k: int, T: float) -> MomentResult:
         pref = math.exp(log_pref)
         if lam.ell > _MAX_DIM:
             skip_bound = math.exp(log_pref + _gaussian_log_integral(parts, T))
-            terms.append(PartitionTerm(lam, 0.0, 0.0, True, skip_bound))
+            terms.append(PartitionTerm(0.0, 0.0, True))
             total_skip += skip_bound
             continue
         integral, err = _partition_integral(parts, T)
         value = pref * integral
-        terms.append(PartitionTerm(lam, value, pref * err, False, 0.0))
+        terms.append(PartitionTerm(value, pref * err, False))
         total += value
         total_err += pref * err
 

@@ -130,20 +130,32 @@ def _time_steps(T: float, cfg: SolverConfig) -> tuple:
     return steps, t_final / steps
 
 
-def _probe_steps(times, steps: int, dt: float) -> np.ndarray:
-    """The step of each readout time, which must be a distinct whole multiple
-    of dt in (0, steps * dt]: a step fills one readout column, so a repeated
-    time would leave one unset.  Checked in float, so that a step past int64
-    is rejected, not wrapped."""
-    times = np.asarray(times, dtype=float)
-    k = np.round(times / dt)
-    # every test reads False on NaN; a set, since np.unique imports
-    # numpy.ma, 14 ms of cold start for every ExperimentConfig user
-    valid = (np.abs(k * dt - times) <= 1e-9) & (k >= 1) & (k <= steps)
-    if not valid.all() or len(set(k.tolist())) < k.size:
-        raise ValueError(f"probe times must be distinct step multiples in "
-                         f"(0, {steps * dt:g}], dt = {dt:g}")
+def _lattice_index(values, unit: float, lo: int, hi: int,
+                   what: str) -> np.ndarray:
+    """The whole k in [lo, hi] with k * unit within 1e-9 of each value;
+    a ValueError that states `what` and lists the values without one.
+    Checked in float, so that an index past int64 is rejected, not
+    wrapped; every test reads False on NaN."""
+    v = np.asarray(values, dtype=float)
+    k = np.round(v / unit)
+    off = ~((np.abs(k * unit - v) <= 1e-9) & (k >= lo) & (k <= hi))
+    if off.any():
+        raise ValueError(f"{what}: got {v[off].tolist()}")
     return k.astype(int)
+
+
+def _probe_steps(times, steps: int, dt: float) -> np.ndarray:
+    """The step of each readout time, which must be a distinct step in
+    [1, steps]: a step fills one readout column, so a repeated time would
+    leave one unset."""
+    what = (f"probe times must be distinct step multiples in "
+            f"(0, {steps * dt:g}], dt = {dt:g}")
+    k = _lattice_index(times, dt, 1, steps, what)
+    # a set, since np.unique imports numpy.ma, 14 ms of cold start for
+    # every ExperimentConfig user
+    if len(set(k.tolist())) < k.size:
+        raise ValueError(what)
+    return k
 
 
 def _heat_step(Z: np.ndarray, out: np.ndarray, dt: float, dx: float) -> None:
@@ -381,14 +393,11 @@ def solve_she_ensemble(
     step_of = _probe_steps([2.0 * T] if probe_times is None else probe_times,
                            steps, dt)
 
-    x = np.asarray(probe_x, dtype=float)
-    k = np.round(x / cfg.dx)
     half = cfg.n_sites // 2
-    off = ~((np.abs(k * cfg.dx - x) <= 1e-9) & (np.abs(k) <= half))
-    if off.any():
-        raise ValueError(f"probe positions must be lattice sites within the "
-                         f"extent, dx = {cfg.dx:g}: got {x[off].tolist()}")
-    x_idx = k.astype(int) + half
+    k = _lattice_index(probe_x, cfg.dx, -half, half,
+                       f"probe positions must be lattice sites within the "
+                       f"extent, dx = {cfg.dx:g}")
+    x_idx = k + half
 
     Z0 = _initial_Z(initial, cfg).astype(_DTYPE)
     out = np.empty((n_replicas, step_of.size, x_idx.size), dtype=np.float64)
@@ -422,7 +431,8 @@ def wedge_readout_times(T: float, cfg: SolverConfig) -> tuple:
 def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
                             T: float, cfg: SolverConfig) -> np.ndarray:
     """Z(2T, 0) for initial data Z_0, one float64 value per replica, composed
-    from the wedge field W read on every site at wedge_readout_times(T, cfg):
+    from the wedge field W read on every site of cfg, in order, at the steps
+    of wedge_readout_times(T, cfg):
 
         Z(2T, 0) = dx d sum_x Z_0(x) (H W_{n-1})(x),  d = W_n(0) / (H W_{n-1})(0),
 
@@ -434,15 +444,19 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
     W_n(0) as read.  initial_data.scale_center_height maps the values to
     heights.
     """
-    times = wedge_readout_times(T, cfg)
-    if wedge.Z.shape[1:] != (2, cfg.n_sites) or not np.allclose(
-            wedge.probe_times, times):
-        raise ValueError("need the wedge field on every site at (2T - dt, 2T)")
+    steps, dt = _time_steps(T, cfg)
     origin = cfg.n_sites // 2
+    need = "need the wedge field on every site, in order, at (2T - dt, 2T)"
+    if wedge.Z.shape[1:] != (2, cfg.n_sites):
+        raise ValueError(need)
+    sites = _lattice_index(wedge.probe_x, cfg.dx, -origin, origin, need)
+    at = _lattice_index(wedge.probe_times, dt, 1, steps, need)
+    if not (np.array_equal(sites, np.arange(-origin, origin + 1))
+            and np.array_equal(at, (steps - 1, steps))):
+        raise ValueError(need)
     Z = wedge.Z[:, 1, origin]
     if isinstance(initial, NarrowWedge):
         return Z.copy()  # a view would keep the whole field alive
-    _, dt = _time_steps(T, cfg)
     HW = np.empty_like(wedge.Z[:, 0])
     _heat_step(np.ascontiguousarray(wedge.Z[:, 0]), HW, dt, cfg.dx)
     return cfg.dx * (Z / HW[:, origin]) * (HW @ _initial_Z(initial, cfg))
@@ -450,10 +464,9 @@ def convolve_upsilon_with_f(wedge: EnsembleResult, initial: InitialData,
 
 @dataclass(frozen=True)
 class StationarityReport:
-    """Pairwise two-sample KS results between probe locations."""
+    """Pairwise two-sample KS p-values between probe locations, one per
+    pair of sorted locations, row-major."""
 
-    locations: tuple
-    statistics: np.ndarray  # upper-triangular pairs, row-major
     pvalues: np.ndarray
     pairs: tuple
 
@@ -473,28 +486,19 @@ def stationarity_report(samples: dict) -> StationarityReport:
         if np.asarray(arr).size < 10**3:
             raise ValueError(f"need >= 1000 samples per location, y={y}")
     locs = tuple(sorted(samples))
-    pairs, ks_stats, pvals = [], [], []
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            res = ks_2samp(samples[locs[i]], samples[locs[j]])
-            pairs.append((locs[i], locs[j]))
-            ks_stats.append(res.statistic)
-            pvals.append(res.pvalue)
-    return StationarityReport(locations=locs, statistics=np.array(ks_stats),
-                              pvalues=np.array(pvals), pairs=tuple(pairs))
+    pairs = tuple((a, b) for i, a in enumerate(locs) for b in locs[i + 1:])
+    pvals = [ks_2samp(samples[a], samples[b]).pvalue for a, b in pairs]
+    return StationarityReport(pvalues=np.array(pvals), pairs=pairs)
 
 
 @dataclass(frozen=True)
 class FKGReport:
     """Joint vs product-of-marginals estimate for level events."""
 
-    side: str
-    levels: np.ndarray
     joint: float
     product: float
     se_joint: float
     se_product: float
-    marginals: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -531,5 +535,5 @@ def fkg_joint_vs_product(H: np.ndarray, levels: Sequence[float],
     with np.errstate(divide="ignore"):
         rel = np.where(marg > 0.0, (1.0 - marg) / (n * marg), 0.0)
     se_product = product * math.sqrt(float(np.sum(rel)))
-    return FKGReport(side=side, levels=levels, joint=joint, product=product,
-                     se_joint=se_joint, se_product=se_product, marginals=marg)
+    return FKGReport(joint=joint, product=product, se_joint=se_joint,
+                     se_product=se_product)

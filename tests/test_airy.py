@@ -181,7 +181,6 @@ class TestLaplaceLhs:
         est = laplace_lhs(np.full(100, 0.7), s=0.7, T=2.0)
         assert est.value == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert est.se <= 1e-16  # identical inputs, rounding-level spread only
-        assert est.n == 100
 
     def test_sure_limit(self):
         rng = np.random.default_rng(0)
@@ -252,7 +251,7 @@ class TestLaplaceRhs:
 
 class TestLaplaceEstimateShape:
     def test_default_truncation_zero(self):
-        est = LaplaceEstimate(value=0.5, se=0.01, n=100)
+        est = LaplaceEstimate(value=0.5, se=0.01)
         assert est.truncation_bound == 0.0
 
 

@@ -261,10 +261,13 @@ class TestMomentExact:
 
     def test_k4_skip_report(self):
         r = moment_exact(4, 1.0)
-        skipped = [t for t in r.terms if t.skipped]
-        assert [t.partition.parts for t in skipped] == [(1, 1, 1, 1)]
-        assert skipped[0].skip_bound > 0.0
-        assert r.skipped_mass_bound == pytest.approx(skipped[0].skip_bound)
+        # (1, 1, 1, 1) is the one partition with more than three parts,
+        # and the first in canonical order
+        assert [t.skipped for t in r.terms] == [True] + [False] * 4
+        assert r.terms[0].value == r.terms[0].quad_error == 0.0
+        # its Gaussian bound at T = 1: e^{4/12} / (2 pi)^4 * pi^2
+        gaussian = math.exp(1.0 / 3.0) * math.pi**2 / (2.0 * math.pi)**4
+        assert r.skipped_mass_bound == pytest.approx(gaussian, rel=1e-12)
         # the dominant partition is (4); the skipped mass is negligible
         assert r.skipped_mass_bound < 1e-4 * r.value
         assert r.in_sandwich
@@ -276,8 +279,16 @@ class TestMomentExact:
             moment_exact(7, 1.0)
 
     def test_canonical_term_order(self):
+        # the terms of (1, 1, 1), (2, 1) and (3,), in that order: only (3,)
+        # has no cross factor, and its closed form is
+        # 3! e^{27/12} / (2 sqrt(pi) 3^{3/2}) at T = 1
         r = moment_exact(3, 1.0)
-        assert [t.partition.parts for t in r.terms] == [(1, 1, 1), (2, 1), (3,)]
+        assert [lam.parts for lam in enumerate_partitions(3)] == [
+            (1, 1, 1), (2, 1), (3,)]
+        closed = 6.0 * math.exp(27.0 / 12.0) / (2.0 * math.sqrt(math.pi) * 3**1.5)
+        values = [t.value for t in r.terms]
+        assert values[2] == pytest.approx(closed, rel=1e-12)
+        assert values[0] < values[1] < values[2]
 
 
 # ---------------------------------------------------------------- Cauchy determinant
